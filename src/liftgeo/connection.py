@@ -3,11 +3,11 @@ coordinates, plus the fiber contraction used on tangent bundles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .expr import Coord, Expr, Rat, ZERO, esum, eprod, differentiate, simplify
-from .geometry import Chart, Frame, GeometryError, Metric, inverse
+from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
 
 __all__ = [
     "Connection", "Riemann", "christoffel", "riemann", "fiber_contract",
@@ -27,6 +27,8 @@ class Connection:
     chart: Chart
     coefficients: Mapping
     frame: Frame = Frame.NATURAL
+    # values derived from this connection, built once each by _derive
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {}
@@ -51,17 +53,19 @@ class Connection:
         return f"Gamma^{name(k)}_{name(i)},{name(j)}"
 
 
-def christoffel(g: Metric, *, ginv: Optional[Metric] = None,
-                zero_kwargs: Optional[Mapping] = None) -> Connection:
+def christoffel(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Connection:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
     if g.frame is not Frame.NATURAL:
         raise GeometryError(
             "the coordinate Christoffel formula applies in natural coordinates only"
         )
+    ginv = inverse(g, zero_kwargs=zero_kwargs)
+    return _derive(g, "christoffel", lambda: _christoffel(g, ginv))
+
+
+def _christoffel(g: Metric, ginv: Metric) -> Connection:
     n = g.dim
     coords = g.chart.coords
-    if ginv is None:
-        ginv = inverse(g, zero_kwargs=zero_kwargs)
     # d[l][i][j] = derivative of g_ij along coordinate l (nonzero only)
     d: dict = {}
     for i in range(n):
@@ -142,6 +146,10 @@ def riemann(c: Connection) -> Riemann:
     + Gamma^h_il Gamma^l_jk - Gamma^h_jl Gamma^l_ik."""
     if c.frame is not Frame.NATURAL:
         raise GeometryError("curvature is computed in natural coordinates only")
+    return _derive(c, "riemann", lambda: _riemann(c))
+
+
+def _riemann(c: Connection) -> Riemann:
     n = c.chart.dim
     coords = c.chart.coords
     comps = {}

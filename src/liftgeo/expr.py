@@ -237,12 +237,7 @@ def _frac_of(e: Expr):
     if isinstance(e, FuncApp):
         arg = _expr_of_frac(_frac_of(e.arg))
         if e.func.body is not None:
-            body = e.func.body
-            for _ in range(e.order):
-                body = differentiate(body, e.func.var)
-            if arg != Coord(e.func.var):
-                body = substitute(body, {e.func.var: arg})
-            return _frac_of(body)
+            return _frac_of(_apply_body(e.func.body, e.func.var, e.order, arg))
         atom = FuncApp(e.func, e.order, arg)
         return _poly.p_atom(_register_atom(atom)), _poly.p_one()
     if isinstance(e, KnownFunc):
@@ -280,8 +275,6 @@ def _term_expr(mono, coef: Fraction) -> Expr:
         factors.append(atom if e == 1 else Power(atom, e))
     if len(factors) == 1:
         return factors[0]
-    if factors and factors[0] == Rat(Fraction(-1)) and len(factors) == 2:
-        return Product(tuple(factors))
     return Product(tuple(factors))
 
 
@@ -384,12 +377,7 @@ def _d(e: Expr, v: str) -> Expr:
         return ONE if e.name == v else ZERO
     if isinstance(e, FuncApp):
         if e.func.body is not None:
-            body = e.func.body
-            for _ in range(e.order):
-                body = differentiate(body, e.func.var)
-            if e.arg != Coord(e.func.var):
-                body = substitute(body, {e.func.var: e.arg})
-            return _d(body, v)
+            return _d(_apply_body(e.func.body, e.func.var, e.order, e.arg), v)
         return Product((FuncApp(e.func, e.order + 1, e.arg), _d(e.arg, v)))
     if isinstance(e, KnownFunc):
         return Product((_known_derivative(e.kind, e.arg), _d(e.arg, v)))
@@ -413,22 +401,35 @@ def differentiate(e: Expr, v: Union[str, Coord]) -> Expr:
 # ---------------------------------------------------------------------------
 # substitution
 
-def _free_coords(e: Expr, out: set) -> set:
-    if isinstance(e, Coord):
-        out.add(e.name)
-    elif isinstance(e, FuncApp):
-        _free_coords(e.arg, out)
-    elif isinstance(e, KnownFunc):
-        _free_coords(e.arg, out)
+def _apply_body(body: Expr, var: str, order: int, arg: Expr) -> Expr:
+    """The order-th derivative of a function body in var, evaluated at arg."""
+    for _ in range(order):
+        body = differentiate(body, var)
+    if arg != Coord(var):
+        body = substitute(body, {var: arg})
+    return body
+
+
+def _atoms(e: Expr):
+    """Every Coord, Const, FuncApp and KnownFunc node of e, in tree order:
+    each application before the atoms of its argument."""
+    if isinstance(e, (Coord, Const)):
+        yield e
+    elif isinstance(e, (FuncApp, KnownFunc)):
+        yield e
+        yield from _atoms(e.arg)
     elif isinstance(e, Sum):
         for t in e.terms:
-            _free_coords(t, out)
+            yield from _atoms(t)
     elif isinstance(e, Product):
         for f in e.factors:
-            _free_coords(f, out)
+            yield from _atoms(f)
     elif isinstance(e, Power):
-        _free_coords(e.base, out)
-    return out
+        yield from _atoms(e.base)
+
+
+def _free_coords(e: Expr) -> set:
+    return {a.name for a in _atoms(e) if isinstance(a, Coord)}
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
@@ -443,7 +444,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     for key, value in bindings.items():
         value = _as_expr(value)
         if isinstance(key, FuncSymbol):
-            extra = _free_coords(value, set()) - {key.var}
+            extra = _free_coords(value) - {key.var}
             if extra:
                 raise SubstitutionError(
                     f"binding for {key.name}({key.var}) depends on other "
@@ -465,12 +466,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
             repl = func_b.get((x.func.name, x.func.var))
             if repl is None:
                 return FuncApp(x.func, x.order, arg)
-            body = repl
-            for _ in range(x.order):
-                body = differentiate(body, x.func.var)
-            if arg != Coord(x.func.var):
-                body = substitute(body, {x.func.var: arg})
-            return body
+            return _apply_body(repl, x.func.var, x.order, arg)
         if isinstance(x, KnownFunc):
             return KnownFunc(x.kind, walk(x.arg))
         if isinstance(x, Sum):
@@ -592,24 +588,18 @@ def probe_interval(label: str) -> tuple:
     return _VALUE_INTERVAL
 
 
-def _probe_symbols(e: Expr, out: dict):
-    """Collect env keys -> display labels for every free symbol."""
-    if isinstance(e, (Coord, Const)):
-        out[e.name] = e.name
-    elif isinstance(e, FuncApp):
-        out[(e.func.name, e.order)] = e.func.name + "'" * e.order
-        _probe_symbols(e.arg, out)
-    elif isinstance(e, KnownFunc):
-        _probe_symbols(e.arg, out)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _probe_symbols(t, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _probe_symbols(f, out)
-    elif isinstance(e, Power):
-        _probe_symbols(e.base, out)
-    return out
+def _probe_symbol(a: Expr) -> tuple:
+    """(env key, display label) of a coordinate, constant or function jet."""
+    if isinstance(a, FuncApp):
+        return (a.func.name, a.order), a.func.name + "'" * a.order
+    return a.name, a.name
+
+
+def _probe_symbols(*exprs: Expr) -> dict:
+    """Env keys -> display labels for every free symbol of the expressions."""
+    return dict(
+        _probe_symbol(a) for e in exprs for a in _atoms(e) if not isinstance(a, KnownFunc)
+    )
 
 
 @dataclass(frozen=True)
@@ -631,11 +621,30 @@ class ZeroVerdict:
         return self.kind == "unknown"
 
 
-def _probe_rng(seed: int, probe: int, attempt: int) -> random.Random:
-    return random.Random(((seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
-
-
 _MAX_REDRAWS = 8
+
+
+def _probe_points(symbols: Mapping, probes: int, seed: int, domain: Optional[Mapping]):
+    """Per probe, a lazy iterator over its _MAX_REDRAWS candidate points
+    (env, labeled); callers take the next candidate when a point is singular.
+
+    env maps each key of symbols, and labeled each label, to one draw from
+    the label's domain interval or its default probe_interval.
+    """
+    ordered = sorted(symbols.items(), key=lambda kv: kv[1])
+    intervals = [(key, label, (domain or {}).get(label) or probe_interval(label))
+                 for key, label in ordered]
+
+    def draw(probe: int, attempt: int) -> tuple:
+        rng = random.Random(((seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
+        env = {}
+        labeled = {}
+        for key, label, (lo, hi) in intervals:
+            env[key] = labeled[label] = rng.uniform(lo, hi)
+        return env, labeled
+
+    for probe in range(probes):
+        yield (draw(probe, attempt) for attempt in range(_MAX_REDRAWS))
 
 
 def is_identically_zero(
@@ -656,18 +665,8 @@ def is_identically_zero(
     s = simplify(e)
     if s == ZERO:
         return ZeroVerdict("zero")
-    symbols = _probe_symbols(s, {})
-    ordered = sorted(symbols.items(), key=lambda kv: kv[1])
-    for probe in range(max(1, probes)):
-        for attempt in range(_MAX_REDRAWS):
-            rng = _probe_rng(seed, probe, attempt)
-            env = {}
-            labeled = {}
-            for key, label in ordered:
-                lo, hi = (domain or {}).get(label) or probe_interval(label)
-                value = rng.uniform(lo, hi)
-                env[key] = value
-                labeled[label] = value
+    for candidates in _probe_points(_probe_symbols(s), max(1, probes), seed, domain):
+        for env, labeled in candidates:
             try:
                 value = _eval(s, env, epsilon)
             except SingularPointError:

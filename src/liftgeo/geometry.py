@@ -4,7 +4,7 @@ metric definition file format."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import expr as ex
@@ -71,6 +71,8 @@ class Metric:
     chart: Chart
     components: tuple
     frame: Frame = Frame.NATURAL
+    # values derived from this metric, built once each by _derive
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.components)
@@ -100,6 +102,16 @@ class Metric:
 
     def entry(self, i: int, j: int) -> Expr:
         return self.components[i][j]
+
+
+def _derive(owner, key, build):
+    """The value `key` derived from the immutable `owner`, built on first use.
+
+    It lives exactly as long as its owner. Two threads may both build it on
+    first use; the builds agree and setdefault keeps one of them.
+    """
+    found = owner._derived.get(key)
+    return found if found is not None else owner._derived.setdefault(key, build())
 
 
 def identity_matrix(n: int):
@@ -142,14 +154,19 @@ def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:
 
 def determinant(g: Metric) -> Expr:
     """Exact symbolic determinant (cofactor expansion, simplified per step)."""
-    n = g.dim
-    memo: dict = {}
-    idx = tuple(range(n))
-    return _det_minor(idx, idx, g.entry, memo)
+    return _derive(g, "determinant", lambda: _determinant(g))
+
+
+def _determinant(g: Metric) -> Expr:
+    idx = tuple(range(g.dim))
+    return _det_minor(idx, idx, g.entry, {})
 
 
 def inverse(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Metric:
-    """Exact adjugate-over-determinant inverse as a Metric on the same chart."""
+    """Exact adjugate-over-determinant inverse as a Metric on the same chart.
+
+    Nondegeneracy is certified on every call, with this call's zero_kwargs.
+    """
     det = determinant(g)
     verdict = ex.is_identically_zero(det, **(zero_kwargs or {}))
     if verdict.is_zero:
@@ -159,6 +176,10 @@ def inverse(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Metric:
             "cannot certify nondegeneracy: determinant zero-test is inconclusive "
             f"for {det}"
         )
+    return _derive(g, "inverse", lambda: _inverse(g, det))
+
+
+def _inverse(g: Metric, det: Expr) -> Metric:
     n = g.dim
     memo: dict = {}
     idx = tuple(range(n))
@@ -192,7 +213,7 @@ def validate(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> list:
     allowed = set(g.chart.coords)
     for i in range(n):
         for j in range(i, n):
-            extra = sorted(ex._free_coords(g.entry(i, j), set()) - allowed)
+            extra = sorted(ex._free_coords(g.entry(i, j)) - allowed)
             if extra:
                 issues.append(
                     f"chart-closure violation: g[{i + 1},{j + 1}] references "

@@ -74,8 +74,6 @@ def second_fundamental_form(
     g1: Metric,
     g2: Metric,
     *,
-    conn1: Optional[Connection] = None,
-    conn2: Optional[Connection] = None,
     zero_kwargs: Optional[Mapping] = None,
 ) -> dict:
     """beta(f)^gamma_ij for a map given by coordinate expressions.
@@ -91,10 +89,8 @@ def second_fundamental_form(
         raise GeometryError(f"map needs {n} component expressions")
     xs = g1.chart.coords
     ys = g2.chart.coords
-    if conn1 is None:
-        conn1 = christoffel(g1, zero_kwargs=zero_kwargs)
-    if conn2 is None:
-        conn2 = christoffel(g2, zero_kwargs=zero_kwargs)
+    conn1 = christoffel(g1, zero_kwargs=zero_kwargs)
+    conn2 = christoffel(g2, zero_kwargs=zero_kwargs)
     jac = [[differentiate(f_map[a], xs[i]) for i in range(m)] for a in range(n)]
     pullback = {y: f_map[a] for a, y in enumerate(ys)}
     target = {
@@ -151,29 +147,32 @@ def harmonicity_residuals(
     g: Metric,
     d: Metric,
     *,
-    conn_g: Optional[Connection] = None,
-    conn_d: Optional[Connection] = None,
     zero_kwargs: Optional[Mapping] = None,
-    notes: Sequence[str] = (),
 ) -> HarmonicityReport:
     """rho^k = g^ij (dGamma^k_ij - Gamma^k_ij) for every upper index.
 
-    Natural-coordinate pairs derive their connections via christoffel;
-    adapted-frame pairs (Sasaki, horizontal lifts) must be given the
-    lift_connection output explicitly.
+    Both metrics must be natural-coordinate metrics on one chart; their
+    connections come from christoffel. Adapted-frame pairs (Sasaki and
+    horizontal lifts) are judged by lifted_harmonicity, which supplies the
+    lifted connections.
     """
     if g.chart != d.chart:
         raise GeometryError("metrics live on different charts")
     if g.frame != d.frame:
         raise GeometryError("metrics use different frame kinds")
-    if g.frame is Frame.ADAPTED and (conn_g is None or conn_d is None):
+    if g.frame is Frame.ADAPTED:
         raise GeometryError(
-            "adapted-frame pairs need explicit connections from lift_connection"
+            "adapted-frame pairs have no coordinate connection; "
+            "use lifted_harmonicity on the base metrics"
         )
-    if conn_g is None:
-        conn_g = christoffel(g, zero_kwargs=zero_kwargs)
-    if conn_d is None:
-        conn_d = christoffel(d, zero_kwargs=zero_kwargs)
+    conn_g = christoffel(g, zero_kwargs=zero_kwargs)
+    conn_d = christoffel(d, zero_kwargs=zero_kwargs)
+    return _trace(g, conn_g, conn_d, zero_kwargs, ())
+
+
+def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
+           zero_kwargs, notes) -> HarmonicityReport:
+    """Judge the traces g^ij (conn_d - conn_g)^k_ij of every upper index k."""
     ginv = inverse(g, zero_kwargs=zero_kwargs)
     n = g.dim
     weights = [
@@ -207,32 +206,27 @@ def lifted_harmonicity(
     cancel identically is recorded in the report notes.
     """
     kind = LiftKind(kind)
+    if g.chart != d.chart:
+        raise GeometryError("metrics live on different charts")
     lg = lift_metric(g, kind)
-    ld = lift_metric(d, kind)
+    conn_g = lift_connection(g, kind, zero_kwargs=zero_kwargs)
+    conn_d = lift_connection(d, kind, zero_kwargs=zero_kwargs)
     notes = []
     if kind is LiftKind.SASAKI:
-        cg = christoffel(g, zero_kwargs=zero_kwargs)
-        cd = christoffel(d, zero_kwargs=zero_kwargs)
-        rg = riemann(cg)
-        rd = riemann(cd)
-        conn_g = lift_connection(g, kind, conn=cg, riem=rg)
-        conn_d = lift_connection(d, kind, conn=cd, riem=rd)
         ginv = inverse(g, zero_kwargs=zero_kwargs)
         m = g.dim
-        fg = fiber_contract(rg)
-        fd = fiber_contract(rd)
+        fg = fiber_contract(riemann(christoffel(g, zero_kwargs=zero_kwargs)))
+        fd = fiber_contract(riemann(christoffel(d, zero_kwargs=zero_kwargs)))
         identically = True
         for k in range(m):
             terms = []
             for i in range(m):
                 for j in range(m):
                     w = ginv.entry(i, j)
-                    if w == ZERO:
+                    if w == ZERO or i == j:
                         continue
                     key = (k, i, j) if i < j else (k, j, i)
                     sign = 1 if i < j else -1
-                    if i == j:
-                        continue
                     delta = sign * (fd.get(key, ZERO) - fg.get(key, ZERO))
                     if delta != ZERO:
                         terms.append(w * delta)
@@ -242,11 +236,4 @@ def lifted_harmonicity(
             "barred-trace curvature difference g^ij (Rhat - R)^k_ij0 "
             + ("vanishes identically" if identically else "does not vanish identically")
         )
-    else:
-        conn_g = lift_connection(g, kind, zero_kwargs=zero_kwargs)
-        conn_d = lift_connection(d, kind, zero_kwargs=zero_kwargs)
-    return harmonicity_residuals(
-        lg.metric, ld.metric,
-        conn_g=conn_g, conn_d=conn_d,
-        zero_kwargs=zero_kwargs, notes=notes,
-    )
+    return _trace(lg.metric, conn_g, conn_d, zero_kwargs, notes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .expr import Coord, Expr, Rat, ZERO, eprod, esum, differentiate, simplify
-from .geometry import Frame, GeometryError, Metric
+from .geometry import Frame, GeometryError, Metric, _derive
 from .connection import Connection, Riemann, christoffel, riemann
 
 __all__ = [
@@ -78,6 +78,10 @@ def lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
     if g.frame is not Frame.NATURAL or g.chart.is_tangent:
         raise GeometryError("lift metrics are built from a base metric")
     kind = LiftKind(kind)
+    return _derive(g, ("lift", kind), lambda: _lift_metric(g, kind))
+
+
+def _lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
     m = g.dim
     tchart = g.chart.tangent()
     entries: dict = {}
@@ -175,12 +179,7 @@ def _horizontal_connection(g: Metric, conn: Connection) -> Connection:
 
 
 def lift_connection(
-    g: Metric,
-    kind: LiftKind,
-    *,
-    conn: Optional[Connection] = None,
-    riem: Optional[Riemann] = None,
-    zero_kwargs: Optional[Mapping] = None,
+    g: Metric, kind: LiftKind, *, zero_kwargs: Optional[Mapping] = None
 ) -> Connection:
     """Levi-Civita connection of the lifted metric.
 
@@ -190,12 +189,8 @@ def lift_connection(
     """
     kind = LiftKind(kind)
     if kind is LiftKind.COMPLETE:
-        lifted = lift_metric(g, kind)
-        return christoffel(lifted.metric, zero_kwargs=zero_kwargs)
-    if conn is None:
-        conn = christoffel(g, zero_kwargs=zero_kwargs)
+        return christoffel(lift_metric(g, kind).metric, zero_kwargs=zero_kwargs)
+    conn = christoffel(g, zero_kwargs=zero_kwargs)
     if kind is LiftKind.HORIZONTAL:
         return _horizontal_connection(g, conn)
-    if riem is None:
-        riem = riemann(conn)
-    return _sasaki_connection(g, conn, riem)
+    return _sasaki_connection(g, conn, riemann(conn))

@@ -10,9 +10,8 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Coord, Expr, FuncSymbol, Power, Rat, Sum, ZERO,
-    SingularPointError, differentiate, probe_interval,
-    simplify, substitute, to_string,
+    Coord, Expr, FuncSymbol, Power, Rat, ZERO,
+    SingularPointError, differentiate, simplify, substitute, to_string,
 )
 
 __all__ = [
@@ -57,24 +56,6 @@ class ProbeConfig:
         }
 
 
-def _abstract_functions(e: Expr, out: dict):
-    if isinstance(e, ex.FuncApp):
-        if e.func.body is None:
-            out[(e.func.name, e.func.var)] = e.func
-        _abstract_functions(e.arg, out)
-    elif isinstance(e, ex.KnownFunc):
-        _abstract_functions(e.arg, out)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _abstract_functions(t, out)
-    elif isinstance(e, ex.Product):
-        for f in e.factors:
-            _abstract_functions(f, out)
-    elif isinstance(e, Power):
-        _abstract_functions(e.base, out)
-    return out
-
-
 def _polynomial_standin(func: FuncSymbol, rng: random.Random) -> Expr:
     """Degree-4 stand-in with positive rational coefficients.
 
@@ -109,28 +90,24 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     deterministically from the seed, so evaluation and differentiation see
     the same functional dependence.
     """
-    abstract = _abstract_functions(simplify(e), {})
+    abstract = {
+        (a.func.name, a.func.var): a.func for a in ex._atoms(simplify(e))
+        if isinstance(a, ex.FuncApp) and a.func.is_abstract
+    }
     bindings = {}
     for (name, _var), func in sorted(abstract.items()):
         rng = random.Random((cfg.seed & 0xFFFFFFFF) * 1000003 + sum(map(ord, name)))
         bindings[func] = _polynomial_standin(func, rng)
     concrete = substitute(e, bindings) if bindings else simplify(e)
     analytic = differentiate(concrete, v)
-    symbols = ex._probe_symbols(concrete, {})
-    ex._probe_symbols(analytic, symbols)
-    if v not in {label for label in symbols.values()}:
+    symbols = ex._probe_symbols(concrete, analytic)
+    if v not in symbols.values():
         symbols[v] = v
-    ordered = sorted(symbols.items(), key=lambda kv: kv[1])
     h = cfg.fd_step
     worst = 0.0
     used = 0
-    for probe in range(cfg.probes):
-        for attempt in range(8):
-            rng = random.Random(((cfg.seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
-            env = {}
-            for key, label in ordered:
-                lo, hi = (cfg.domain or {}).get(label) or probe_interval(label)
-                env[key] = rng.uniform(lo, hi)
+    for candidates in ex._probe_points(symbols, cfg.probes, cfg.seed, cfg.domain):
+        for env, _ in candidates:
             try:
                 exact = ex._eval(analytic, env, ex.DEFAULT_EPSILON)
                 env_p = dict(env)

@@ -154,3 +154,33 @@ def test_compatibility_residual_flat_zero_connection():
     g = Metric(Chart(("t", "r")), identity_matrix(2))
     res = metric_compatibility_residual(g, Connection(g.chart, {}))
     assert all(v == ZERO for v in res.values())
+
+
+def test_concurrent_first_use_shares_one_value():
+    import sys
+    import threading
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = Metric.from_entries(Chart(("theta", "phi")), {
+                (0, 0): ref("1"), (1, 1): ref("sin(theta)^2"),
+            })
+            results = []
+            barrier = threading.Barrier(4, timeout=30)
+
+            def work():
+                barrier.wait()
+                results.append(riemann(christoffel(g)))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 4
+            assert all(r is results[0] for r in results)
+            assert results[0] is riemann(christoffel(g))
+    finally:
+        sys.setswitchinterval(previous)

@@ -96,6 +96,20 @@ def test_inconclusive_determinant_refused_with_diagnostic():
         inverse(g)
 
 
+def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
+    # the inverse algebra is kept on the metric, the zero test is not
+    from liftgeo import expr
+    from liftgeo.connection import christoffel
+    g = Metric.from_entries(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
+    inverse(g)
+    monkeypatch.setattr(expr, "is_identically_zero",
+                        lambda e, **kw: expr.ZeroVerdict("unknown"))
+    with pytest.raises(DegenerateMetricError, match="inconclusive"):
+        inverse(g)
+    with pytest.raises(DegenerateMetricError, match="inconclusive"):
+        christoffel(g)
+
+
 def test_validate_clean_metric(gks_metric):
     assert validate(gks_metric) == []
 

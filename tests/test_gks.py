@@ -119,6 +119,22 @@ def test_theorem_check_on_abstract_pair():
     assert check.passed
 
 
+def test_theorem_check_builds_each_base_connection_once(monkeypatch):
+    from liftgeo import connection
+    built = []
+    original = connection._christoffel
+
+    def counting(g, ginv):
+        built.append(g)
+        return original(g, ginv)
+
+    monkeypatch.setattr(connection, "_christoffel", counting)
+    theorem_equivalence_check(abstract_spec(), hatted_abstract_spec())
+    base = [g for g in built if g.dim == 4]
+    assert len(base) == 2
+    assert base[0] is not base[1]
+
+
 def test_corpus_is_seeded_and_mixed():
     pairs = corpus_pairs(seed=0, count=20)
     assert pairs == corpus_pairs(seed=0, count=20)

@@ -162,3 +162,36 @@ def test_complete_lifted_residuals_are_doubled_base(gks_metric, gks_hat_metric):
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(k) == ZERO
         assert equivalent(lifted.residual(f"{k}bar"), simplify(2 * base.residual(k)))
+
+
+def test_complete_lift_inverts_each_lifted_metric_once(monkeypatch):
+    from liftgeo import geometry
+    from liftgeo.gks import abstract_spec, build_gks, hatted_abstract_spec
+    built = []
+    original = geometry._inverse
+
+    def counting(g, det):
+        built.append(g)
+        return original(g, det)
+
+    monkeypatch.setattr(geometry, "_inverse", counting)
+    g, d = build_gks(abstract_spec()), build_gks(hatted_abstract_spec())
+    lifted_harmonicity(g, d, LiftKind.COMPLETE)
+    eight = [m for m in built if m.dim == 8]
+    assert len(eight) == 2
+    assert eight[0] is not eight[1]
+    assert {id(m) for m in eight} == {
+        id(lift_metric(g, LiftKind.COMPLETE).metric),
+        id(lift_metric(d, LiftKind.COMPLETE).metric),
+    }
+
+
+def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):
+    sasaki = lift_metric(gks_metric, LiftKind.SASAKI).metric
+    with pytest.raises(GeometryError, match="adapted-frame.*lifted_harmonicity"):
+        harmonicity_residuals(sasaki, sasaki)
+
+
+def test_lifted_pair_on_different_charts_rejected(gks_metric, sphere_metric):
+    with pytest.raises(GeometryError, match="chart"):
+        lifted_harmonicity(gks_metric, sphere_metric, LiftKind.SASAKI)
