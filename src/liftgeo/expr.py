@@ -47,6 +47,9 @@ KNOWN_FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tan", "exp", "log", "sqrt")
 DEFAULT_PROBE_COUNT = 20
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_EPSILON = 1e-9
+# factors nest at most this deep; a parenthesised group, a function argument
+# and a unary minus each open one more level
+MAX_NESTING = 100
 
 
 class ExprError(Exception):
@@ -771,6 +774,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.symbols = symbols
+        self.depth = 0
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -819,6 +823,17 @@ class _Parser:
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self) -> Expr:
+        # every nesting level of the grammar passes through here
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", self.peek()[2]
+            )
+        self.depth += 1
+        f = self._factor()
+        self.depth -= 1
+        return f
+
+    def _factor(self) -> Expr:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()

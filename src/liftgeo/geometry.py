@@ -152,18 +152,43 @@ def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:
     return result
 
 
+def _blocks(g: Metric) -> list:
+    """Index tuples of the connected components of g's nonzero pattern.
+
+    Reordered by them, g is block diagonal, so its determinant and inverse
+    are assembled block by block; a dense metric is one block.
+    """
+    n = g.dim
+    blocks, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        block, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j not in block and (g.entry(i, j) != ZERO or g.entry(j, i) != ZERO):
+                    block.add(j)
+                    stack.append(j)
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return blocks
+
+
 def determinant(g: Metric) -> Expr:
-    """Exact symbolic determinant (cofactor expansion, simplified per step)."""
+    """Exact symbolic determinant: the product of the cofactor expansions of
+    the diagonal blocks of g's nonzero pattern, simplified per step."""
     return _derive(g, "determinant", lambda: _determinant(g))
 
 
 def _determinant(g: Metric) -> Expr:
-    idx = tuple(range(g.dim))
-    return _det_minor(idx, idx, g.entry, {})
+    memo: dict = {}
+    return eprod(_det_minor(b, b, g.entry, memo) for b in _blocks(g))
 
 
 def inverse(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Metric:
-    """Exact adjugate-over-determinant inverse as a Metric on the same chart.
+    """Exact inverse as a Metric on the same chart: each diagonal block of g's
+    nonzero pattern is its adjugate over its determinant, all else is 0.
 
     Nondegeneracy is certified on every call, with this call's zero_kwargs.
     """
@@ -182,22 +207,20 @@ def inverse(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Metric:
 def _inverse(g: Metric, det: Expr) -> Metric:
     n = g.dim
     memo: dict = {}
-    idx = tuple(range(n))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # adj[i][j] = (-1)^(i+j) * minor with row j and column i removed
-            minor_rows = idx[:j] + idx[j + 1:]
-            minor_cols = idx[:i] + idx[i + 1:]
-            m = _det_minor(minor_rows, minor_cols, g.entry, memo)
-            if m == ZERO:
-                row.append(ZERO)
-                continue
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(simplify(Product((Rat(sign), m, Power(det, -1)))))
-        rows.append(tuple(row))
-    return Metric(g.chart, tuple(rows), g.frame)
+    rows = [[ZERO] * n for _ in range(n)]
+    for block in _blocks(g):
+        block_det = det if len(block) == n else _det_minor(block, block, g.entry, memo)
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                # adj[i][j] = (-1)^(a+b) * block minor with row j and column i removed
+                minor_rows = block[:b] + block[b + 1:]
+                minor_cols = block[:a] + block[a + 1:]
+                m = _det_minor(minor_rows, minor_cols, g.entry, memo)
+                if m == ZERO:
+                    continue
+                sign = 1 if (a + b) % 2 == 0 else -1
+                rows[i][j] = simplify(Product((Rat(sign), m, Power(block_det, -1))))
+    return Metric(g.chart, rows, g.frame)
 
 
 def validate(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> list:
@@ -291,7 +314,7 @@ def parse_metric_document(text: str) -> MetricDocument:
             elif tail.startswith("="):
                 try:
                     body = parse(tail[1:].strip(), symbols)
-                except ex.ParseError as err:
+                except ex.ExprError as err:
                     raise MetricFileError(str(err), lineno) from None
             else:
                 raise MetricFileError(
@@ -322,7 +345,7 @@ def parse_metric_document(text: str) -> MetricDocument:
                 raise MetricFileError(f"index out of range 1..{n}", lineno)
             try:
                 value = parse(rhs.strip(), symbols)
-            except ex.ParseError as err:
+            except ex.ExprError as err:
                 raise MetricFileError(str(err), lineno) from None
             key = (min(i, j) - 1, max(i, j) - 1)
             if key in entries and entries[key] != value:

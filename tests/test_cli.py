@@ -183,3 +183,21 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
 def test_unknown_flag_is_usage_error(files, capsys):
     code, _, _ = run(capsys, "christoffel", files["flat"], "--wat")
     assert code == 2
+
+
+def test_deeply_nested_entry_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "deep.metric"
+    p.write_text("chart t r\ng 1 1 = 1\ng 2 2 = " + "(" * 5000 + "t" + ")" * 5000 + "\n")
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert "line 3" in err and "nested" in err
+    assert "Traceback" not in err
+
+
+def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "zero.metric"
+    p.write_text("chart x y\ng 1 1 = 1\ng 2 2 = (x-x)^-1\n")
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert "line 3" in err and "identically zero" in err
+    assert "Traceback" not in err

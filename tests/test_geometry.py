@@ -110,6 +110,49 @@ def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
         christoffel(g)
 
 
+# ---------------------------------------------------------------------------
+# block inversion
+
+def test_inverse_and_determinant_by_blocks():
+    # a coupled 2x2 block on {t, theta} and a 1x1 block on {r}
+    from liftgeo.geometry import _det_minor
+    chart = Chart(("t", "r", "theta"))
+    g = Metric.from_entries(chart, {
+        (0, 0): ref("t^2"), (0, 2): ref("theta"), (2, 2): ref("1 + t"),
+        (1, 1): ref("X(t)"),
+    })
+    assert matrix_mul(g.components, inverse(g).components) == identity_matrix(3)
+    assert inverse(g).entry(0, 1) == inverse(g).entry(1, 2) == ZERO
+    idx = (0, 1, 2)
+    assert determinant(g) == _det_minor(idx, idx, g.entry, {})
+
+
+def test_zero_one_by_one_block_is_degenerate():
+    chart = Chart(("t", "r", "theta"))
+    g = Metric.from_entries(chart, {(0, 0): ref("1"), (0, 2): ref("t"), (2, 2): ref("2")})
+    assert determinant(g) == ZERO
+    with pytest.raises(DegenerateMetricError):
+        inverse(g)
+
+
+def test_complete_lift_inverse_expands_only_two_by_two_minors(monkeypatch):
+    # a fresh base metric, so no lift or inverse is kept from another test
+    from liftgeo import geometry
+    from liftgeo.gks import abstract_spec, build_gks
+    lifted = lift_metric(build_gks(abstract_spec()), LiftKind.COMPLETE).metric
+    sizes = []
+    original = geometry._det_minor
+
+    def recording(rows, cols, entry, memo):
+        sizes.append(len(rows))
+        return original(rows, cols, entry, memo)
+
+    monkeypatch.setattr(geometry, "_det_minor", recording)
+    ginv = inverse(lifted)
+    assert sizes and max(sizes) <= 2
+    assert matrix_mul(lifted.components, ginv.components) == identity_matrix(8)
+
+
 def test_validate_clean_metric(gks_metric):
     assert validate(gks_metric) == []
 
