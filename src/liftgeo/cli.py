@@ -33,6 +33,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+FORMATS = ("text", "json")
+
 
 def _env_default(name: str, fallback):
     return os.environ.get(name, fallback)
@@ -41,12 +43,12 @@ def _env_default(name: str, fallback):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("text", "json"),
+        "--format", choices=FORMATS,
         default=_env_default("LIFTGEO_FORMAT", "text"),
         help="report format (env LIFTGEO_FORMAT)",
     )
     common.add_argument(
-        "--seed", type=int, default=int(_env_default("LIFTGEO_SEED", "0")),
+        "--seed", type=int, default=_env_default("LIFTGEO_SEED", "0"),
         help="probe RNG seed (env LIFTGEO_SEED)",
     )
     common.add_argument("--probes", type=int, default=20, help="probe count per zero test")
@@ -221,17 +223,12 @@ def _cmd_curvature(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
     conn = christoffel(doc.metric, zero_kwargs=cfg.zero_kwargs())
     riem = riemann(conn)
-    name = doc.metric.chart.index_name
-    comps = _expr_map(
-        (f"R^{name(h)}_{name(i)},{name(j)},{name(k)}", v)
-        for (h, i, j, k), v in riem.items()
-    )
+    comps = _expr_map((riem.display_key(*key), v) for key, v in riem.items())
     results = {"components": comps}
     if args.fiber_contract:
         contracted = fiber_contract(riem)
         results["fiber_contracted"] = _expr_map(
-            (f"R^{name(h)}_{name(i)},{name(j)},0", v)
-            for (h, i, j), v in sorted(contracted.items())
+            (riem.display_key(h, i, j, "0"), v) for (h, i, j), v in sorted(contracted.items())
         )
     return _report("curvature", [_digest(args.metric_file)], results, []), EXIT_OK
 
@@ -351,11 +348,7 @@ def _cmd_verify(args, cfg) -> tuple:
     fd_failures = []
     inconclusive = []
     targets = [(conn.display_key(*key), v) for key, v in conn.items()]
-    targets += [
-        (f"R^{metric.chart.index_name(h)}_{metric.chart.index_name(i)},"
-         f"{metric.chart.index_name(j)},{metric.chart.index_name(k)}", v)
-        for (h, i, j, k), v in riem.items()
-    ]
+    targets += [(riem.display_key(*key), v) for key, v in riem.items()]
     for label, value in targets:
         for coord in metric.chart.coords:
             try:
@@ -398,6 +391,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format not in FORMATS:  # argparse checks choices on flags only
+            parser.error(f"LIFTGEO_FORMAT must be one of {', '.join(FORMATS)}, "
+                         f"not {args.format!r}")
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:

@@ -81,6 +81,8 @@ class Expr:
     """Base class; instances are immutable and hashable."""
 
     __slots__ = ()
+    # the (num, den) normal form, stored by simplify on the node it returns
+    _nf = None
 
     def __add__(self, other):
         return simplify(Sum((self, _as_expr(other))))
@@ -211,42 +213,38 @@ def _as_expr(x) -> Expr:
 # ---------------------------------------------------------------------------
 # canonical normalization
 
-def _atom_key(e: Expr) -> tuple:
-    if isinstance(e, Coord):
-        return (0, e.name, "", 0, "")
-    if isinstance(e, Const):
-        return (1, e.name, "", 0, "")
-    if isinstance(e, FuncApp):
-        return (2, e.func.name, e.func.var, e.order, to_string(e.arg))
-    if isinstance(e, KnownFunc):
-        return (3, e.kind, "", 0, to_string(e.arg))
-    raise ExprError(f"not an atom: {e!r}")
+class _AtomKey(tuple):
+    """A polynomial indeterminate: it hashes, compares and sorts as the tuple
+    (kind, name, var, order, argument text) and carries its atom node."""
 
-
-_ATOM_BY_KEY: dict = {}
-
-
-def _register_atom(e: Expr) -> tuple:
-    key = _atom_key(e)
-    _ATOM_BY_KEY.setdefault(key, e)
-    return key
+    def __new__(cls, atom: Expr):
+        if isinstance(atom, Coord):
+            key = (0, atom.name, "", 0, "")
+        elif isinstance(atom, Const):
+            key = (1, atom.name, "", 0, "")
+        elif isinstance(atom, FuncApp):
+            key = (2, atom.func.name, atom.func.var, atom.order, to_string(atom.arg))
+        else:
+            key = (3, atom.kind, "", 0, to_string(atom.arg))
+        self = super().__new__(cls, key)
+        self.atom = atom
+        return self
 
 
 def _frac_of(e: Expr):
+    if e._nf is not None:
+        return e._nf
     if isinstance(e, Rat):
         return _poly.p_const(e.value), _poly.p_one()
-    if isinstance(e, (Coord, Const)):
-        return _poly.p_atom(_register_atom(e)), _poly.p_one()
     if isinstance(e, FuncApp):
-        arg = _expr_of_frac(_frac_of(e.arg))
+        arg = simplify(e.arg)
         if e.func.body is not None:
             return _frac_of(_apply_body(e.func.body, e.func.var, e.order, arg))
-        atom = FuncApp(e.func, e.order, arg)
-        return _poly.p_atom(_register_atom(atom)), _poly.p_one()
-    if isinstance(e, KnownFunc):
-        arg = _expr_of_frac(_frac_of(e.arg))
-        atom = KnownFunc(e.kind, arg)
-        return _poly.p_atom(_register_atom(atom)), _poly.p_one()
+        e = FuncApp(e.func, e.order, arg)
+    elif isinstance(e, KnownFunc):
+        e = KnownFunc(e.kind, simplify(e.arg))
+    if isinstance(e, (Coord, Const, FuncApp, KnownFunc)):
+        return _poly.p_atom(_AtomKey(e)), _poly.p_one()
     if isinstance(e, Sum):
         acc = _poly.F_ZERO
         for t in e.terms:
@@ -273,8 +271,8 @@ def _term_expr(mono, coef: Fraction) -> Expr:
     factors = []
     if coef != 1 or not mono:
         factors.append(Rat(coef))
-    for atom_key, e in mono:
-        atom = _ATOM_BY_KEY[atom_key]
+    for key, e in mono:
+        atom = key.atom
         factors.append(atom if e == 1 else Power(atom, e))
     if len(factors) == 1:
         return factors[0]
@@ -332,8 +330,15 @@ def _expr_of_frac(fr) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical rational-function normal form over the opaque atoms."""
-    return _expr_of_frac(_frac_of(e))
+    """Canonical rational-function normal form over the opaque atoms. The
+    result keeps its (num, den) form: simplifying it again returns it as is,
+    and expressions built from it read that form instead of its tree."""
+    if e._nf is not None:
+        return e
+    fr = _frac_of(e)
+    s = _expr_of_frac(fr)
+    object.__setattr__(s, "_nf", fr)
+    return s
 
 
 def esum(terms: Iterable) -> Expr:
@@ -414,21 +419,13 @@ def _apply_body(body: Expr, var: str, order: int, arg: Expr) -> Expr:
 
 
 def _atoms(e: Expr):
-    """Every Coord, Const, FuncApp and KnownFunc node of e, in tree order:
+    """Every Coord, Const, FuncApp and KnownFunc atom of e's normal form,
     each application before the atoms of its argument."""
-    if isinstance(e, (Coord, Const)):
-        yield e
-    elif isinstance(e, (FuncApp, KnownFunc)):
-        yield e
-        yield from _atoms(e.arg)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            yield from _atoms(t)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            yield from _atoms(f)
-    elif isinstance(e, Power):
-        yield from _atoms(e.base)
+    num, den = simplify(e)._nf
+    for key in _poly.p_atoms(num) | _poly.p_atoms(den):
+        yield key.atom
+        if isinstance(key.atom, (FuncApp, KnownFunc)):
+            yield from _atoms(key.atom.arg)
 
 
 def _free_coords(e: Expr) -> set:
@@ -439,8 +436,9 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous substitution, then canonical simplification.
 
     Keys may be FuncSymbol instances (the replacement expression is written
-    in the symbol's own variable; all derivative orders are rewritten
-    through it), Coord/Const instances, or plain coordinate/constant names.
+    in the symbol's own variable, and its normal form may name no other
+    coordinate; all derivative orders are rewritten through it), Coord/Const
+    instances, or plain coordinate/constant names.
     """
     func_b: dict = {}
     name_b: dict = {}

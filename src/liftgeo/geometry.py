@@ -43,6 +43,9 @@ class Chart:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        repeated = sorted({c for c in self.coords if self.coords.count(c) > 1})
+        if repeated:
+            raise GeometryError(f"chart repeats coordinate name(s) {repeated}")
 
     @property
     def dim(self) -> int:
@@ -294,9 +297,9 @@ def parse_metric_document(text: str) -> MetricDocument:
             try:
                 for name in fields[1:]:
                     symbols.declare_coord(name)
-            except ex.ExprError as err:
+                chart = Chart(tuple(fields[1:]))
+            except (ex.ExprError, GeometryError) as err:
                 raise MetricFileError(str(err), lineno) from None
-            chart = Chart(tuple(fields[1:]))
         elif kind == "func":
             if chart is None:
                 raise MetricFileError("func line before chart line", lineno)

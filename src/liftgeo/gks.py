@@ -464,16 +464,11 @@ def _union_fill(computed: dict, expected: dict) -> tuple:
     )
 
 
-def _gamma_label(chart: Chart, k: int, i: int, j: int) -> str:
-    name = chart.index_name
-    return f"Gamma^{name(k)}_{name(i)},{name(j)}"
-
-
 def scenario_gamma_matrices(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
     conn = christoffel(g, zero_kwargs=cfg.zero_kwargs())
-    computed = {_gamma_label(g.chart, *key): v for key, v in conn.items()}
-    expected = {_gamma_label(g.chart, *key): _ref(s) for key, s in GAMMA_REF.items()}
+    computed = {conn.display_key(*key): v for key, v in conn.items()}
+    expected = {conn.display_key(*key): _ref(s) for key, s in GAMMA_REF.items()}
     computed, expected = _union_fill(computed, expected)
     report = reconcile_with_paper(computed, expected, cfg)
     return ScenarioResult("gamma-matrices", tuple(_recon_entries(report)))
@@ -560,14 +555,9 @@ def scenario_curvature_table(cfg: ProbeConfig) -> ScenarioResult:
     conn = christoffel(g, zero_kwargs=cfg.zero_kwargs())
     riem = riemann(conn)
     contracted = fiber_contract(riem)
-    name = g.chart.index_name
-    computed = {
-        f"R^{name(h)}_{name(i)},{name(j)},0": v
-        for (h, i, j), v in contracted.items()
-    }
+    computed = {riem.display_key(h, i, j, "0"): v for (h, i, j), v in contracted.items()}
     expected = {
-        f"R^{name(h)}_{name(i)},{name(j)},0": _ref(s)
-        for (h, i, j), s in CURVATURE_REF.items()
+        riem.display_key(h, i, j, "0"): _ref(s) for (h, i, j), s in CURVATURE_REF.items()
     }
     computed, expected = _union_fill(computed, expected)
     entries = _recon_entries(reconcile_with_paper(computed, expected, cfg))
@@ -648,15 +638,15 @@ def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
 
     # printed connection table (keys restricted to the printed entries)
     computed = {
-        _gamma_label(tchart, *key): conn.get(*key)
+        conn.display_key(*key): conn.get(*key)
         for key in COMPLETE_CONNECTION_REF
     }
     expected = {
-        _gamma_label(tchart, *key): _ref(s)
+        conn.display_key(*key): _ref(s)
         for key, s in COMPLETE_CONNECTION_REF.items()
     }
     annotations = {
-        _gamma_label(tchart, *COMPLETE_ANNOTATED_KEY): COMPLETE_ANNOTATED_NOTE,
+        conn.display_key(*COMPLETE_ANNOTATED_KEY): COMPLETE_ANNOTATED_NOTE,
     }
     entries += _recon_entries(
         reconcile_with_paper(computed, expected, cfg), annotations
@@ -679,7 +669,7 @@ def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
         want = _complete_pattern_value(base_conn, g.chart, *key)
         if not equivalent(conn.get(*key), want):
             pattern_ok = False
-            bad.append(_gamma_label(tchart, *key))
+            bad.append(conn.display_key(*key))
     entries.append(ScenarioEntry(
         name="general-pattern",
         status="match" if pattern_ok else "mismatch",

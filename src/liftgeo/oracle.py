@@ -3,6 +3,7 @@ random-point identity probing, and reference-table reconciliation."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +42,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
-        if self.zero_tol <= 0 or self.fd_step <= 0 or self.fd_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < x < math.inf for x in (self.zero_tol, self.fd_step, self.fd_rel_tol)):
+            raise ValueError("tolerances and steps must be positive and finite")
         for label, (lo, hi) in (self.domain or {}).items():
             if not lo < hi:
                 raise ValueError(f"degenerate probe interval for {label!r}")

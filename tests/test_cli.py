@@ -201,3 +201,36 @@ def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert "line 3" in err and "identically zero" in err
     assert "Traceback" not in err
+
+
+def test_bad_seed_in_environment_is_usage_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("LIFTGEO_SEED", "abc")
+    code, _, err = run(capsys, "christoffel", files["flat"])
+    assert code == 2
+    assert "invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_bad_format_in_environment_is_usage_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("LIFTGEO_FORMAT", "xml")
+    code, out, err = run(capsys, "christoffel", files["flat"])
+    assert code == 2
+    assert out == ""
+    assert "LIFTGEO_FORMAT" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(files, capsys, tol):
+    code, out, err = run(capsys, "christoffel", files["flat"], f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_repeated_chart_coordinate_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "twice.metric"
+    p.write_text("chart t t\ng 1 1 = t\n")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert out == ""
+    assert "line 1" in err and "repeats" in err

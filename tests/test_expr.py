@@ -1,12 +1,15 @@
 """Expression engine: parsing, printing, calculus, normalization and the
 tri-state zero test."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftgeo import _poly
 from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc,
     ParseError, Power, Product, Rat, SingularPointError, SubstitutionError,
@@ -198,6 +201,12 @@ def test_substitute_rejects_foreign_coordinate():
         substitute(parse("X(t)", syms()), {X: Coord("theta")})
 
 
+def test_substitute_reads_the_binding_normal_form():
+    # r cancels in t + r - r, so the binding depends on t alone
+    binding = Sum((Coord("t"), Coord("r"), Product((Rat(-1), Coord("r")))))
+    assert substitute(parse("X(t)^2", syms()), {X: binding}) == ref("t^2")
+
+
 def test_differentiate_commutes_with_concrete_substitution():
     table = syms()
     e = parse("f(theta)^2*f'(theta) + 1/f(theta)", table)
@@ -341,3 +350,25 @@ def test_differentiation_linear_over_sums(raw, v):
     lhs = differentiate(Sum((a, b)), v)
     rhs = simplify(Sum((differentiate(a, v), differentiate(b, v))))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# stored normal forms
+
+def test_simplified_node_keeps_its_normal_form(monkeypatch):
+    s = parse("X(t)/(X(t) + Y(t)^2)", syms())
+    assert to_string(s) == "X(t)/(X(t) + Y(t)^2)"  # a non-monomial denominator
+    calls = []
+    f_make = _poly.f_make
+    monkeypatch.setattr(_poly, "f_make", lambda *a: calls.append(a) or f_make(*a))
+    assert simplify(s) is s
+    assert simplify(simplify(s)) is s
+    assert calls == []
+
+
+def test_normal_form_lives_with_its_node():
+    s = simplify(KnownFunc("sin", Coord("zz")))
+    ref_s = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref_s() is None

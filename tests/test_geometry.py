@@ -24,6 +24,17 @@ def test_tangent_chart_layout():
         tchart.tangent()
 
 
+def test_chart_rejects_repeated_coordinates():
+    with pytest.raises(GeometryError, match="repeats"):
+        Chart(("t", "t"))
+
+
+def test_tangent_chart_rejects_fiber_name_clash():
+    # the fiber coordinates of a two-dimensional chart are u1, u2
+    with pytest.raises(GeometryError, match="u1"):
+        Chart(("t", "u1")).tangent()
+
+
 def test_metric_shape_checked():
     chart = Chart(("t", "r"))
     with pytest.raises(GeometryError):

@@ -1,0 +1,46 @@
+"""Golden reports: the `--format json` stdout of fixed requests on the
+bundled metric files must stay byte-identical.
+
+A change that alters a report on purpose regenerates its golden file and
+says why; every other change must leave them as they are. To regenerate
+one, run its request from the repository root, e.g.
+
+    PYTHONPATH=src python -m liftgeo.cli christoffel metrics/gks.metric \\
+        --format json > tests/golden/christoffel-gks.json
+"""
+
+import pathlib
+
+import pytest
+
+from liftgeo.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _requests():
+    for name in ("gks", "sphere"):
+        path = f"metrics/{name}.metric"
+        yield f"christoffel-{name}", ["christoffel", path]
+        yield f"curvature-{name}", ["curvature", path, "--fiber-contract"]
+        for kind in ("sasaki", "horizontal", "complete"):
+            yield f"lift-{kind}-{name}", ["lift", path, "--kind", kind, "--connection"]
+    yield "harmonic-complete-gks-gks", [
+        "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
+    ]
+
+
+REQUESTS = dict(_requests())
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_report_matches_golden(name, capsys, monkeypatch):
+    # each report names its input by the path it was given
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("LIFTGEO_FORMAT", raising=False)
+    monkeypatch.delenv("LIFTGEO_SEED", raising=False)
+    code = main(REQUESTS[name] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -1,5 +1,7 @@
 """Finite-difference checks and reference-table reconciliation."""
 
+import math
+
 import pytest
 
 from liftgeo.expr import ZERO
@@ -22,6 +24,13 @@ def test_probe_config_validation():
     cfg = ProbeConfig(seed=5, probes=7)
     assert cfg.zero_kwargs()["seed"] == 5
     assert cfg.zero_kwargs()["probes"] == 7
+
+
+@pytest.mark.parametrize("field", ["zero_tol", "fd_step", "fd_rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_probe_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ProbeConfig(**{field: value})
 
 
 def test_fd_check_on_analytic_function():
