@@ -18,6 +18,7 @@ equality of rational functions in the atoms.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable
@@ -290,6 +291,62 @@ def _content_in(a: Poly, x) -> Poly:
     return _gcd_list(c for c in _to_dense(a, x) if not p_is_zero(c))
 
 
+# the prime modulus of the univariate images in _free_atoms
+_P = (1 << 61) - 1
+
+
+def _degree(a: Poly, x) -> int:
+    return max((e for m in a for atom, e in m if atom == x), default=0)
+
+
+def _image(a: Poly, x, point: dict) -> list:
+    """Coefficients of the integer polynomial a mod _P in x (index = power of
+    x), every other atom set to its value in point."""
+    coeffs = [0] * (_degree(a, x) + 1)
+    for m, c in a.items():
+        k = 0
+        v = c.numerator % _P
+        for atom, e in m:
+            if atom == x:
+                k = e
+            else:
+                v = v * pow(point[atom], e, _P) % _P
+        coeffs[k] = (coeffs[k] + v) % _P
+    return coeffs
+
+
+def _gcd_degree(u: list, w: list) -> int:
+    """Degree of the gcd mod _P of two coefficient lists with nonzero tops."""
+    while w:
+        inv = pow(w[-1], _P - 2, _P)
+        u = list(u)
+        while len(u) >= len(w):
+            q = u[-1] * inv % _P
+            shift = len(u) - len(w)
+            for i, c in enumerate(w):
+                u[shift + i] = (u[shift + i] - q * c) % _P
+            while u and not u[-1]:
+                u.pop()
+        u, w = w, u
+    return len(u) - 1
+
+
+def _free_atoms(a: Poly, b: Poly, shared: set) -> set:
+    """The atoms of shared (those of both a and b) that provably do not occur
+    in g = gcd(a, b). Over integer coefficients lc_x(g) divides lc_x(a) and
+    lc_x(b), so at a point where both stay nonzero mod _P, deg_x g is at most
+    the degree of the gcd of the univariate images in x."""
+    a, b = _to_integer(a), _to_integer(b)
+    rng = random.Random(len(shared))
+    point = {x: rng.randrange(2, _P) for x in p_atoms(a) | p_atoms(b)}
+    free = set()
+    for x in sorted(shared):
+        ia, ib = _image(a, x, point), _image(b, x, point)
+        if ia[-1] and ib[-1] and not _gcd_degree(ia, ib):
+            free.add(x)
+    return free
+
+
 def _gcd_int(a: Poly, b: Poly) -> Poly:
     """gcd of two nonzero integer-coefficient polynomials (primitive result)."""
     if p_is_const(a) or p_is_const(b):
@@ -297,6 +354,15 @@ def _gcd_int(a: Poly, b: Poly) -> Poly:
         return p_const(Fraction(g))
     atoms_a = p_atoms(a)
     atoms_b = p_atoms(b)
+    shared = atoms_a & atoms_b
+    free = _free_atoms(a, b, shared)
+    if free == shared:
+        # g has no atom of its own: a and b are coprime
+        return p_one()
+    if free:
+        # g divides every coefficient of a and of b in x
+        x = max(free)
+        return _gcd_int(_content_in(a, x), _content_in(b, x))
     x = max(atoms_a | atoms_b)
     if x not in atoms_a:
         return _gcd_int(a, _content_in(b, x))

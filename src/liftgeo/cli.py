@@ -26,7 +26,7 @@ from .connection import christoffel, fiber_contract, metric_compatibility_residu
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import harmonicity_residuals, lifted_harmonicity
 from .gks import SCENARIO_NAMES, run_scenario
-from .oracle import InconclusiveError, ProbeConfig, finite_difference_check
+from .oracle import InconclusiveError, ProbeConfig, concretize, finite_difference_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -350,9 +350,10 @@ def _cmd_verify(args, cfg) -> tuple:
     targets = [(conn.display_key(*key), v) for key, v in conn.items()]
     targets += [(riem.display_key(*key), v) for key, v in riem.items()]
     for label, value in targets:
+        concrete = concretize(value, cfg)
         for coord in metric.chart.coords:
             try:
-                res = finite_difference_check(value, coord, cfg)
+                res = finite_difference_check(concrete, coord, cfg)
             except InconclusiveError:
                 inconclusive.append(f"{label} d/d{coord}")
                 continue

@@ -185,9 +185,9 @@ def _riemann(c: Connection) -> Riemann:
 
 
 def fiber_contract(r: Riemann) -> dict:
-    """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates u1..um."""
-    m = r.chart.dim
-    fibers = [Coord(f"u{k + 1}") for k in range(m)]
+    """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
+    tangent chart; a base chart that already names one is a GeometryError."""
+    fibers = [Coord(u) for u in r.chart.tangent().coords[r.chart.dim:]]
     out: dict = {}
     for (h, i, j, k), e in r.components.items():
         key = (h, i, j)

@@ -335,7 +335,11 @@ def simplify(e: Expr) -> Expr:
     and expressions built from it read that form instead of its tree."""
     if e._nf is not None:
         return e
-    fr = _frac_of(e)
+    return _node(_frac_of(e))
+
+
+def _node(fr) -> Expr:
+    """The canonical node of a reduced (num, den) pair, carrying that pair."""
     s = _expr_of_frac(fr)
     object.__setattr__(s, "_nf", fr)
     return s
@@ -378,32 +382,80 @@ def _known_derivative(kind: str, arg: Expr) -> Expr:
     raise ExprError(f"no derivative rule for {kind!r}")
 
 
-def _d(e: Expr, v: str) -> Expr:
-    if isinstance(e, (Rat, Const)):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.name == v else ZERO
-    if isinstance(e, FuncApp):
-        if e.func.body is not None:
-            return _d(_apply_body(e.func.body, e.func.var, e.order, e.arg), v)
-        return Product((FuncApp(e.func, e.order + 1, e.arg), _d(e.arg, v)))
-    if isinstance(e, KnownFunc):
-        return Product((_known_derivative(e.kind, e.arg), _d(e.arg, v)))
-    if isinstance(e, Sum):
-        return Sum(tuple(_d(t, v) for t in e.terms))
-    if isinstance(e, Product):
-        parts = []
-        for i, f in enumerate(e.factors):
-            parts.append(Product(e.factors[:i] + (_d(f, v),) + e.factors[i + 1:]))
-        return Sum(tuple(parts))
-    if isinstance(e, Power):
-        return Product((Rat(e.exponent), Power(e.base, e.exponent - 1), _d(e.base, v)))
-    raise ExprError(f"cannot differentiate {type(e).__name__}")
+def _d_atom(atom: Expr, v: str, memo: dict):
+    """d atom/dv as a (num, den) pair, or None when it is 0."""
+    if isinstance(atom, Coord):
+        return _poly.F_ONE if atom.name == v else None
+    if isinstance(atom, Const):
+        return None
+    inner = _d_nf(_frac_of(atom.arg), v, memo)
+    if _poly.p_is_zero(inner[0]):
+        return None
+    if isinstance(atom, FuncApp):
+        jet = FuncApp(atom.func, atom.order + 1, atom.arg)
+        outer = _poly.p_atom(_AtomKey(jet)), _poly.p_one()
+    else:
+        outer = _frac_of(_known_derivative(atom.kind, atom.arg))
+    if _poly.p_is_const(outer[1]) and _poly.p_is_const(inner[1]):
+        return _poly.p_mul(outer[0], inner[0]), _poly.p_one()
+    return _poly.f_mul(outer, inner)
+
+
+def _d_poly(p: Poly, derivs: dict):
+    """dp/dv = sum over atoms a of (dp/da) a', as a (num, den) pair; den is 1
+    unless an atom derivative has a denominator."""
+    num, den = _poly.p_zero(), _poly.p_one()
+    for key, (a_num, a_den) in derivs.items():
+        partial: Poly = {}
+        for mono, coef in p.items():
+            for i, (atom, e) in enumerate(mono):
+                if atom == key:
+                    shifted = ((atom, e - 1),) if e > 1 else ()
+                    partial[mono[:i] + shifted + mono[i + 1:]] = coef * e
+                    break
+        if not partial:
+            continue
+        term = _poly.p_mul(partial, a_num)
+        if _poly.p_is_const(a_den):
+            num = _poly.p_add(num, term if _poly.p_is_const(den) else _poly.p_mul(term, den))
+        else:
+            num, den = _poly.f_add((num, den), (term, a_den))
+    return num, den
+
+
+def _d_nf(fr, v: str, memo: dict):
+    """d(num/den)/dv as a reduced (num, den) pair: the quotient rule over the
+    chain rule through each atom; memo keeps each atom's derivative."""
+    num, den = fr
+    derivs = {}
+    for key in _poly.p_atoms(num) | _poly.p_atoms(den):
+        if key not in memo:
+            memo[key] = _d_atom(key.atom, v, memo)
+        if memo[key] is not None:
+            derivs[key] = memo[key]
+    if not derivs:
+        return _poly.F_ZERO
+    a, b = _d_poly(num, derivs)
+    if _poly.p_is_const(den):
+        # den is exactly 1 here, and a polynomial num' is already reduced
+        return (a, b) if _poly.p_is_const(b) else _poly.f_make(a, b)
+    c, d = _d_poly(den, derivs)
+    if _poly.p_is_zero(c):
+        return _poly.f_make(a, _poly.p_mul(b, den))
+    # (a/b)/den - num (c/d)/den^2
+    return _poly.f_make(
+        _poly.p_sub(_poly.p_mul(_poly.p_mul(a, d), den), _poly.p_mul(_poly.p_mul(num, c), b)),
+        _poly.p_mul(_poly.p_mul(b, d), _poly.p_mul(den, den)),
+    )
 
 
 def differentiate(e: Expr, v: Union[str, Coord]) -> Expr:
+    """Partial derivative in v, computed on the stored normal form of e: the
+    quotient rule on (num, den), and the chain rule through each polynomial
+    atom (a coordinate, an abstract-function jet or a built-in function of
+    its argument). The result keeps its normal form, as simplify's does."""
     name = v.name if isinstance(v, Coord) else v
-    return simplify(_d(e, name))
+    return _node(_d_nf(simplify(e)._nf, name, {}))
 
 
 # ---------------------------------------------------------------------------

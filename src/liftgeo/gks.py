@@ -594,7 +594,7 @@ def scenario_horizontal(cfg: ProbeConfig) -> ScenarioResult:
     return _lift_trace_scenario(LiftKind.HORIZONTAL, cfg)
 
 
-def _complete_pattern_value(conn: Connection, chart: Chart, k: int, i: int, j: int) -> Expr:
+def _complete_pattern_value(conn: Connection, tchart: Chart, k: int, i: int, j: int) -> Expr:
     """u-linear pattern the complete-lift connection must satisfy:
     Gamma^k_ij on the base block, Gamma^kbar_{i jbar} = Gamma^kbar_{ibar j}
     = Gamma^k_ij, Gamma^kbar_ij = u^l d_l Gamma^k_ij, all other slots 0."""
@@ -605,7 +605,8 @@ def _complete_pattern_value(conn: Connection, chart: Chart, k: int, i: int, j: i
         return ZERO
     if i < m and j < m:
         return esum(
-            eprod((Coord(f"u{l + 1}"), ex.differentiate(conn.get(k - m, i, j), chart.coords[l])))
+            eprod((Coord(tchart.coords[m + l]),
+                   ex.differentiate(conn.get(k - m, i, j), tchart.coords[l])))
             for l in range(m)
         )
     if i < m <= j:
@@ -660,13 +661,13 @@ def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
         for i in range(8):
             for j in range(i, 8):
                 key = (k, i, j)
-                want = _complete_pattern_value(base_conn, g.chart, k, i, j)
+                want = _complete_pattern_value(base_conn, tchart, k, i, j)
                 if want != ZERO or key in keys:
                     keys.add(key)
     pattern_ok = True
     bad = []
     for key in sorted(keys):
-        want = _complete_pattern_value(base_conn, g.chart, *key)
+        want = _complete_pattern_value(base_conn, tchart, *key)
         if not equivalent(conn.get(*key), want):
             pattern_ok = False
             bad.append(conn.display_key(*key))

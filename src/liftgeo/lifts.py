@@ -55,7 +55,7 @@ def horizontal_lift_vector(components: Sequence[Expr], c: Connection) -> tuple:
     comps = tuple(simplify(x) for x in components)
     if len(comps) != m:
         raise GeometryError(f"vector field needs {m} components")
-    fibers = [Coord(f"u{a + 1}") for a in range(m)]
+    fibers = [Coord(u) for u in c.chart.tangent().coords[m:]]
     vertical = []
     for i in range(m):
         terms = []
@@ -101,7 +101,7 @@ def _lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
                     entries[(i, j + m)] = v
         frame = Frame.ADAPTED
     else:
-        fibers = [Coord(f"u{k + 1}") for k in range(m)]
+        fibers = [Coord(u) for u in tchart.coords[m:]]
         coords = g.chart.coords
         for i in range(m):
             for j in range(i, m):
@@ -125,7 +125,7 @@ def _lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
 def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection:
     m = g.dim
     tchart = g.chart.tangent()
-    fibers = [Coord(f"u{h + 1}") for h in range(m)]
+    fibers = [Coord(u) for u in tchart.coords[m:]]
     half = Rat(1) / 2
     neg_half = Rat(-1) / 2
     coeffs: dict = {}

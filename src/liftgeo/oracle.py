@@ -17,7 +17,7 @@ from .expr import (
 
 __all__ = [
     "ProbeConfig", "OracleError", "InconclusiveError", "FdResult",
-    "finite_difference_check", "ReconEntry", "ReconciliationReport",
+    "concretize", "finite_difference_check", "ReconEntry", "ReconciliationReport",
     "reconcile_with_paper",
 ]
 
@@ -84,12 +84,12 @@ class FdResult:
     probes_used: int
 
 
-def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -> FdResult:
-    """Central-difference check of differentiate(e, v) on the probe domain.
+def concretize(e: Expr, cfg: ProbeConfig = ProbeConfig()) -> Expr:
+    """e with each abstract function replaced by its polynomial stand-in.
 
-    Abstract functions are replaced by concrete polynomial stand-ins drawn
-    deterministically from the seed, so evaluation and differentiation see
-    the same functional dependence.
+    A stand-in depends only on cfg.seed and the function's name, so one
+    concrete expression serves the checks of every coordinate; an expression
+    without abstract functions is returned in its normal form.
     """
     abstract = {
         (a.func.name, a.func.var): a.func for a in ex._atoms(simplify(e))
@@ -99,7 +99,17 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     for (name, _var), func in sorted(abstract.items()):
         rng = random.Random((cfg.seed & 0xFFFFFFFF) * 1000003 + sum(map(ord, name)))
         bindings[func] = _polynomial_standin(func, rng)
-    concrete = substitute(e, bindings) if bindings else simplify(e)
+    return substitute(e, bindings) if bindings else simplify(e)
+
+
+def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -> FdResult:
+    """Central-difference check of differentiate(e, v) on the probe domain.
+
+    Abstract functions are replaced by concrete polynomial stand-ins drawn
+    deterministically from the seed (see concretize), so evaluation and
+    differentiation see the same functional dependence.
+    """
+    concrete = concretize(e, cfg)
     analytic = differentiate(concrete, v)
     symbols = ex._probe_symbols(concrete, analytic)
     if v not in symbols.values():

@@ -234,3 +234,33 @@ def test_repeated_chart_coordinate_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 1" in err and "repeats" in err
+
+
+def test_verify_substitutes_stand_ins_once_per_target(tmp_path, capsys, monkeypatch):
+    from liftgeo import oracle
+    from liftgeo.connection import christoffel, riemann
+    from liftgeo.expr import FuncApp, _atoms
+    from liftgeo.geometry import load_metric_document
+
+    p = tmp_path / "m.metric"
+    p.write_text(GKS_FILE.replace("func Y(t) abstract", "func Y(t) = t"))
+    conn = christoffel(load_metric_document(str(p)).metric)
+    targets = list(conn.coefficients.values()) + list(riemann(conn).components.values())
+    abstract = [v for v in targets
+                if any(isinstance(a, FuncApp) and a.func.is_abstract for a in _atoms(v))]
+    assert 0 < len(abstract) < len(targets)
+    calls = []
+    substitute = oracle.substitute
+    monkeypatch.setattr(oracle, "substitute", lambda *a: calls.append(a) or substitute(*a))
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 0 and out.count("[PASS]") == 4
+    assert len(calls) == len(abstract)
+
+
+def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
+    p = tmp_path / "clash.metric"
+    p.write_text("chart t u2\ng 1 1 = 1\ng 2 2 = u2^2*sin(t)^2\n")
+    code, out, err = run(capsys, "curvature", str(p), "--fiber-contract")
+    assert code == 1
+    assert out == ""
+    assert "repeats" in err and "Traceback" not in err

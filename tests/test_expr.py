@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liftgeo import _poly
 from liftgeo.expr import (
@@ -372,3 +372,58 @@ def test_normal_form_lives_with_its_node():
     del s
     gc.collect()
     assert ref_s() is None
+
+
+# ---------------------------------------------------------------------------
+# differentiation of the stored normal form
+
+def test_differentiate_reads_the_normal_form(monkeypatch):
+    s = parse("X(t)^3/(X(t) + Y(t)^2)", syms())
+    calls = []
+    f_make = _poly.f_make
+    monkeypatch.setattr(_poly, "f_make", lambda *a: calls.append(a) or f_make(*a))
+    d = differentiate(s, "t")
+    assert len(calls) <= 20
+    assert equivalent(
+        d, ref("(3*X(t)^2*X'(t)*(X(t) + Y(t)^2) - X(t)^3*(X'(t) + 2*Y(t)*Y'(t)))"
+               "/(X(t) + Y(t)^2)^2"),
+    )
+
+
+def test_derivative_keeps_its_normal_form():
+    d = differentiate(parse("X(t)^3/(X(t) + Y(t)^2) + sqrt(t)", syms()), "t")
+    assert simplify(d) is d
+    assert differentiate(parse("X(t)", syms()), "theta") == ZERO
+
+
+def test_chain_rule_through_arguments():
+    table = syms()
+    table.declare_func(FuncSymbol("h", "theta", parse("sin(theta)*theta^2", table)))
+    cases = [
+        ("sin(t^2)", "t", "2*t*cos(t^2)"),
+        ("log(X(t))", "t", "X'(t)/X(t)"),
+        ("sqrt(1 + t^2)", "t", "t/sqrt(1 + t^2)"),
+        ("tan(r*t)", "t", "r*(1 + tan(r*t)^2)"),
+        ("X(t^2)", "t", "2*t*X'(t^2)"),
+        ("h(theta^2)", "theta", "2*theta^5*cos(theta^2) + 4*theta^3*sin(theta^2)"),
+    ]
+    for source, var, want in cases:
+        got = differentiate(parse(source, table), var)
+        assert equivalent(got, parse(want, table)), source
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs(), _exprs(), st.sampled_from(["t", "theta"]))
+def test_leibniz_rule_property(raw_a, raw_b, v):
+    a, b = simplify(raw_a), simplify(raw_b)
+    lhs = differentiate(a * b, v)
+    assert lhs == differentiate(a, v) * b + a * differentiate(b, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs(), _exprs(), st.sampled_from(["t", "theta"]))
+def test_quotient_rule_property(raw_a, raw_b, v):
+    a, b = simplify(raw_a), simplify(raw_b)
+    assume(b != ZERO)
+    lhs = differentiate(a / b, v)
+    assert lhs == (differentiate(a, v) * b - a * differentiate(b, v)) / b**2

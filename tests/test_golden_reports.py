@@ -26,6 +26,11 @@ def _requests():
         yield f"curvature-{name}", ["curvature", path, "--fiber-contract"]
         for kind in ("sasaki", "horizontal", "complete"):
             yield f"lift-{kind}-{name}", ["lift", path, "--kind", kind, "--connection"]
+    # a member with built-in atoms and non-monomial denominators
+    path = "metrics/ks.metric"
+    yield "christoffel-ks", ["christoffel", path]
+    yield "curvature-ks", ["curvature", path, "--fiber-contract"]
+    yield "lift-complete-ks", ["lift", path, "--kind", "complete", "--connection"]
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
     ]
