@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .expr import (  # noqa: F401
     Expr, Rat, Coord, Const, FuncApp, KnownFunc, Sum, Product, Power,
-    FuncSymbol, SymbolTable, ZeroVerdict, parse, to_string, simplify,
+    FuncSymbol, SymbolTable, ZeroVerdict, ProbeConfig, parse, to_string, simplify,
     differentiate, substitute, eval_numeric, is_identically_zero, equivalent,
 )
 from .geometry import (  # noqa: F401
@@ -17,7 +17,7 @@ from .connection import (  # noqa: F401
     metric_compatibility_residual,
 )
 from .lifts import (  # noqa: F401
-    LiftKind, LiftedMetric, vertical_lift, horizontal_lift_vector,
+    LiftKind, vertical_lift, horizontal_lift_vector,
     lift_metric, lift_connection,
 )
 from .harmonicity import (  # noqa: F401
@@ -29,5 +29,5 @@ from .gks import (  # noqa: F401
     example_pair, theorem_equivalence_check, corpus_pairs, run_scenario,
 )
 from .oracle import (  # noqa: F401
-    ProbeConfig, finite_difference_check, reconcile_with_paper,
+    finite_difference_check, reconcile_with_paper,
 )

@@ -20,13 +20,13 @@ import sys
 
 from . import __version__
 from . import expr as ex
-from .expr import to_string
+from .expr import ProbeConfig, to_string
 from .geometry import GeometryError, MetricFileError, load_metric_document, validate
 from .connection import christoffel, fiber_contract, metric_compatibility_residual, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import harmonicity_residuals, lifted_harmonicity
 from .gks import SCENARIO_NAMES, run_scenario
-from .oracle import InconclusiveError, ProbeConfig, concretize, finite_difference_check
+from .oracle import InconclusiveError, concretize, finite_difference_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,8 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=_env_default("LIFTGEO_SEED", "0"),
         help="probe RNG seed (env LIFTGEO_SEED)",
     )
-    common.add_argument("--probes", type=int, default=20, help="probe count per zero test")
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric zero tolerance")
+    common.add_argument("--probes", type=int, default=ex.DEFAULT_PROBE_COUNT,
+                        help="probe count per zero test")
+    common.add_argument("--tol", type=float, default=ex.DEFAULT_ZERO_TOL,
+                        help="numeric zero tolerance")
 
     parser = argparse.ArgumentParser(
         prog="liftgeo",
@@ -213,7 +215,7 @@ def _fmt_witness(witness) -> str:
 
 def _cmd_christoffel(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
-    conn = christoffel(doc.metric, zero_kwargs=cfg.zero_kwargs())
+    conn = christoffel(doc.metric, cfg=cfg)
     coeffs = _expr_map((conn.display_key(*key), v) for key, v in conn.items())
     results = {"coefficients": coeffs}
     return _report("christoffel", [_digest(args.metric_file)], results, []), EXIT_OK
@@ -221,7 +223,7 @@ def _cmd_christoffel(args, cfg) -> tuple:
 
 def _cmd_curvature(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
-    conn = christoffel(doc.metric, zero_kwargs=cfg.zero_kwargs())
+    conn = christoffel(doc.metric, cfg=cfg)
     riem = riemann(conn)
     comps = _expr_map((riem.display_key(*key), v) for key, v in riem.items())
     results = {"components": comps}
@@ -237,20 +239,20 @@ def _cmd_lift(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
     kind = LiftKind(args.kind)
     lifted = lift_metric(doc.metric, kind)
-    tchart = lifted.metric.chart
+    tchart = lifted.chart
     entries = {}
     for i in range(tchart.dim):
         for j in range(i, tchart.dim):
-            v = lifted.metric.entry(i, j)
+            v = lifted.entry(i, j)
             if v != ex.ZERO:
                 entries[f"g_{tchart.index_name(i)},{tchart.index_name(j)}"] = to_string(v)
     results = {
         "kind": kind.value,
-        "frame": lifted.metric.frame.value,
+        "frame": lifted.frame.value,
         "metric": entries,
     }
     if args.connection:
-        conn = lift_connection(doc.metric, kind, zero_kwargs=cfg.zero_kwargs())
+        conn = lift_connection(doc.metric, kind, cfg=cfg)
         results["connection"] = _expr_map(
             (conn.display_key(*key), v) for key, v in conn.items()
         )
@@ -260,13 +262,10 @@ def _cmd_lift(args, cfg) -> tuple:
 def _cmd_harmonic(args, cfg) -> tuple:
     g_doc = load_metric_document(args.g_file)
     d_doc = load_metric_document(args.d_file)
-    zk = cfg.zero_kwargs()
     if args.lift:
-        report = lifted_harmonicity(
-            g_doc.metric, d_doc.metric, LiftKind(args.lift), zero_kwargs=zk
-        )
+        report = lifted_harmonicity(g_doc.metric, d_doc.metric, LiftKind(args.lift), cfg=cfg)
     else:
-        report = harmonicity_residuals(g_doc.metric, d_doc.metric, zero_kwargs=zk)
+        report = harmonicity_residuals(g_doc.metric, d_doc.metric, cfg=cfg)
     results = {
         "lift": args.lift,
         "residuals": _expr_map(
@@ -304,10 +303,9 @@ def _cmd_paper_check(args, cfg) -> tuple:
 def _cmd_verify(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
     metric = doc.metric
-    zk = cfg.zero_kwargs()
     checks = []
 
-    issues = validate(metric, zero_kwargs=zk)
+    issues = validate(metric, cfg=cfg)
     checks.append({
         "name": "metric validation (symmetry, nondegeneracy, chart closure)",
         "passed": not issues,
@@ -318,7 +316,7 @@ def _cmd_verify(args, cfg) -> tuple:
         return _report("verify", [_digest(args.metric_file)],
                        {"checks": checks}, []), EXIT_CHECK_FAILED
 
-    conn = christoffel(metric, zero_kwargs=zk)
+    conn = christoffel(metric, cfg=cfg)
     residual = metric_compatibility_residual(metric, conn)
     nonzero = [key for key, v in residual.items() if v != ex.ZERO]
     checks.append({

@@ -4,9 +4,9 @@ coordinates, plus the fiber contraction used on tangent bundles."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .expr import Coord, Expr, Rat, ZERO, esum, eprod, differentiate, simplify
+from .expr import Coord, Expr, ProbeConfig, Rat, ZERO, esum, eprod, differentiate, simplify
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
 
 __all__ = [
@@ -53,13 +53,13 @@ class Connection:
         return f"Gamma^{name(k)}_{name(i)},{name(j)}"
 
 
-def christoffel(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Connection:
+def christoffel(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Connection:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
     if g.frame is not Frame.NATURAL:
         raise GeometryError(
             "the coordinate Christoffel formula applies in natural coordinates only"
         )
-    ginv = inverse(g, zero_kwargs=zero_kwargs)
+    ginv = inverse(g, cfg=cfg)
     return _derive(g, "christoffel", lambda: _christoffel(g, ginv))
 
 

@@ -33,7 +33,7 @@ from ._poly import Poly  # noqa: F401
 
 __all__ = [
     "Expr", "Rat", "Coord", "Const", "FuncApp", "KnownFunc", "Sum", "Product",
-    "Power", "FuncSymbol", "SymbolTable", "ZeroVerdict",
+    "Power", "FuncSymbol", "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
     "SubstitutionError",
     "parse", "to_string", "simplify", "differentiate", "substitute",
@@ -67,7 +67,8 @@ class EvalError(ExprError):
 
 
 class SingularPointError(EvalError):
-    """A denominator fell below epsilon at the evaluation point."""
+    """A denominator fell below epsilon, or a value overflowed a double, at
+    the evaluation point."""
 
 
 class SubstitutionError(ExprError):
@@ -542,9 +543,17 @@ _MATH = {
 }
 
 
+# a value that overflows a double is a singular point, like a vanishing
+# denominator: the zero test and the finite-difference check draw again
+_OVERFLOW = "value overflows a double"
+
+
 def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
     if isinstance(e, Rat):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise SingularPointError(_OVERFLOW) from None
     if isinstance(e, (Coord, Const)):
         try:
             return env[e.name]
@@ -567,7 +576,10 @@ def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
             if a < 0:
                 raise SingularPointError("sqrt of a negative value")
             return math.sqrt(a)
-        return _MATH[e.kind](a)
+        try:
+            return _MATH[e.kind](a)
+        except OverflowError:
+            raise SingularPointError(_OVERFLOW) from None
     if isinstance(e, Sum):
         return sum(_eval(t, env, epsilon) for t in e.terms)
     if isinstance(e, Product):
@@ -581,7 +593,10 @@ def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
             raise SingularPointError(
                 f"denominator magnitude {abs(b):.3e} below epsilon"
             )
-        return b ** e.exponent
+        try:
+            return b ** e.exponent
+        except OverflowError:
+            raise SingularPointError(_OVERFLOW) from None
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 
@@ -674,57 +689,73 @@ class ZeroVerdict:
         return self.kind == "unknown"
 
 
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Settings of the probe-based zero test and the finite-difference check."""
+
+    seed: int = 0
+    probes: int = DEFAULT_PROBE_COUNT
+    zero_tol: float = DEFAULT_ZERO_TOL
+    fd_step: float = 1e-5
+    fd_rel_tol: float = 1e-6
+    domain: Optional[Mapping] = None  # label -> (lo, hi), defaults per symbol
+
+    def __post_init__(self):
+        if self.probes < 1:
+            raise ValueError("probes must be >= 1")
+        if not all(0 < x < math.inf for x in (self.zero_tol, self.fd_step, self.fd_rel_tol)):
+            raise ValueError("tolerances and steps must be positive and finite")
+        for label, (lo, hi) in (self.domain or {}).items():
+            if not lo < hi:
+                raise ValueError(f"degenerate probe interval for {label!r}")
+
+
 _MAX_REDRAWS = 8
 
 
-def _probe_points(symbols: Mapping, probes: int, seed: int, domain: Optional[Mapping]):
+def _probe_points(symbols: Mapping, cfg: ProbeConfig):
     """Per probe, a lazy iterator over its _MAX_REDRAWS candidate points
     (env, labeled); callers take the next candidate when a point is singular.
 
     env maps each key of symbols, and labeled each label, to one draw from
-    the label's domain interval or its default probe_interval.
+    the label's cfg.domain interval or its default probe_interval.
     """
     ordered = sorted(symbols.items(), key=lambda kv: kv[1])
-    intervals = [(key, label, (domain or {}).get(label) or probe_interval(label))
+    intervals = [(key, label, (cfg.domain or {}).get(label) or probe_interval(label))
                  for key, label in ordered]
 
     def draw(probe: int, attempt: int) -> tuple:
-        rng = random.Random(((seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
+        rng = random.Random(((cfg.seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
         env = {}
         labeled = {}
         for key, label, (lo, hi) in intervals:
             env[key] = labeled[label] = rng.uniform(lo, hi)
         return env, labeled
 
-    for probe in range(probes):
+    for probe in range(cfg.probes):
         yield (draw(probe, attempt) for attempt in range(_MAX_REDRAWS))
 
 
-def is_identically_zero(
-    e: Expr,
-    *,
-    probes: int = DEFAULT_PROBE_COUNT,
-    seed: int = 0,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    domain: Optional[Mapping] = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> ZeroVerdict:
-    """Sound tri-state zero test.
+def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVerdict:
+    """Sound tri-state zero test with the probe settings of cfg.
 
     "zero" is claimed only when the canonical form is literally 0. Otherwise
-    random probes over the safe domain look for a numeric witness; if none
-    exceeds zero_tol the verdict is "unknown", never silently zero.
+    cfg.probes random points over the safe domain (cfg.seed, cfg.domain) look
+    for a numeric witness; if none exceeds cfg.zero_tol the verdict is
+    "unknown", never silently zero. A point where a denominator falls below
+    DEFAULT_EPSILON or a value overflows a double is singular and is drawn
+    again.
     """
     s = simplify(e)
     if s == ZERO:
         return ZeroVerdict("zero")
-    for candidates in _probe_points(_probe_symbols(s), max(1, probes), seed, domain):
+    for candidates in _probe_points(_probe_symbols(s), cfg):
         for env, labeled in candidates:
             try:
-                value = _eval(s, env, epsilon)
+                value = _eval(s, env, DEFAULT_EPSILON)
             except SingularPointError:
                 continue
-            if abs(value) > zero_tol:
+            if abs(value) > cfg.zero_tol:
                 return ZeroVerdict("nonzero", witness=labeled, value=value)
             break
     return ZeroVerdict("unknown")

@@ -9,7 +9,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Expr, FuncSymbol, Power, Product, Rat, SymbolTable, ZERO,
+    Expr, FuncSymbol, Power, ProbeConfig, Product, Rat, SymbolTable, ZERO,
     esum, eprod, parse, simplify,
 )
 
@@ -189,14 +189,15 @@ def _determinant(g: Metric) -> Expr:
     return eprod(_det_minor(b, b, g.entry, memo) for b in _blocks(g))
 
 
-def inverse(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> Metric:
+def inverse(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Metric:
     """Exact inverse as a Metric on the same chart: each diagonal block of g's
     nonzero pattern is its adjugate over its determinant, all else is 0.
 
-    Nondegeneracy is certified on every call, with this call's zero_kwargs.
+    Nondegeneracy is certified on every call: the determinant's zero test
+    runs with this call's cfg, while the inverse itself is built once.
     """
     det = determinant(g)
-    verdict = ex.is_identically_zero(det, **(zero_kwargs or {}))
+    verdict = ex.is_identically_zero(det, cfg=cfg)
     if verdict.is_zero:
         raise DegenerateMetricError("metric determinant is identically zero")
     if verdict.is_unknown:
@@ -226,7 +227,7 @@ def _inverse(g: Metric, det: Expr) -> Metric:
     return Metric(g.chart, rows, g.frame)
 
 
-def validate(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> list:
+def validate(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> list:
     """Diagnostics: symmetry, nondegeneracy, chart closure. Empty = valid."""
     issues = []
     n = g.dim
@@ -247,7 +248,7 @@ def validate(g: Metric, *, zero_kwargs: Optional[Mapping] = None) -> list:
                 )
     if not issues:
         det = determinant(g)
-        verdict = ex.is_identically_zero(det, **(zero_kwargs or {}))
+        verdict = ex.is_identically_zero(det, cfg=cfg)
         if verdict.is_zero:
             issues.append("degenerate: determinant is identically zero")
         elif verdict.is_unknown:

@@ -24,14 +24,14 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Const, Coord, Expr, FuncSymbol, KnownFunc, SymbolTable, ZERO,
+    Const, Coord, Expr, FuncSymbol, KnownFunc, ProbeConfig, SymbolTable, ZERO,
     equivalent, esum, eprod, parse, simplify, to_string,
 )
 from .geometry import Chart, Metric, inverse
 from .connection import Connection, christoffel, fiber_contract, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import HarmonicityReport, harmonicity_residuals, lifted_harmonicity
-from .oracle import ProbeConfig, ReconciliationReport, reconcile_with_paper
+from .oracle import ReconciliationReport, reconcile_with_paper
 
 __all__ = [
     "BASE_CHART", "GksSpec", "abstract_spec", "hatted_abstract_spec",
@@ -176,14 +176,13 @@ def theorem_equivalence_check(
     """Check, for this pair, that the base harmonicity verdict matches the
     joint vanishing of the two obstructions, and that each lifted verdict
     (Sasaki, horizontal, complete) matches the base verdict."""
-    zk = cfg.zero_kwargs()
     g = build_gks(g_spec)
     d = build_gks(hat_spec)
-    base = harmonicity_residuals(g, d, zero_kwargs=zk)
+    base = harmonicity_residuals(g, d, cfg=cfg)
     base_ok = _verdict_bool(base)
     c1, c2 = condition_18(g_spec, hat_spec)
-    v1 = ex.is_identically_zero(c1, **zk)
-    v2 = ex.is_identically_zero(c2, **zk)
+    v1 = ex.is_identically_zero(c1, cfg=cfg)
+    v2 = ex.is_identically_zero(c2, cfg=cfg)
     if v1.is_unknown or v2.is_unknown:
         cond_ok: Optional[bool] = None
     else:
@@ -194,7 +193,7 @@ def theorem_equivalence_check(
     else:
         results["trace-condition"] = base_ok == cond_ok
     for kind in (LiftKind.SASAKI, LiftKind.HORIZONTAL, LiftKind.COMPLETE):
-        lifted = lifted_harmonicity(g, d, kind, zero_kwargs=zk)
+        lifted = lifted_harmonicity(g, d, kind, cfg=cfg)
         lifted_ok = _verdict_bool(lifted)
         if base_ok is None or lifted_ok is None:
             results[kind.value] = None
@@ -466,7 +465,7 @@ def _union_fill(computed: dict, expected: dict) -> tuple:
 
 def scenario_gamma_matrices(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
-    conn = christoffel(g, zero_kwargs=cfg.zero_kwargs())
+    conn = christoffel(g, cfg=cfg)
     computed = {conn.display_key(*key): v for key, v in conn.items()}
     expected = {conn.display_key(*key): _ref(s) for key, s in GAMMA_REF.items()}
     computed, expected = _union_fill(computed, expected)
@@ -476,7 +475,7 @@ def scenario_gamma_matrices(cfg: ProbeConfig) -> ScenarioResult:
 
 def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
-    ginv = inverse(g, zero_kwargs=cfg.zero_kwargs())
+    ginv = inverse(g, cfg=cfg)
     computed = {}
     for i in range(4):
         for j in range(i, 4):
@@ -486,8 +485,8 @@ def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
     computed, expected = _union_fill(computed, expected)
     entries = _recon_entries(reconcile_with_paper(computed, expected, cfg))
 
-    lifted = lift_metric(g, LiftKind.COMPLETE).metric
-    linv = inverse(lifted, zero_kwargs=cfg.zero_kwargs())
+    lifted = lift_metric(g, LiftKind.COMPLETE)
+    linv = inverse(lifted, cfg=cfg)
     name = lifted.chart.index_name
     computed = {}
     for i in range(8):
@@ -506,7 +505,7 @@ def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
 def scenario_traces(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
     d = build_gks(hatted_abstract_spec())
-    report = harmonicity_residuals(g, d, zero_kwargs=cfg.zero_kwargs())
+    report = harmonicity_residuals(g, d, cfg=cfg)
     computed = {f"rho^{k}": report.residual(k) for k in ("1", "2", "3", "4")}
     expected = {key: _ref(s) for key, s in TRACE_REF.items()}
     entries = _recon_entries(reconcile_with_paper(computed, expected, cfg))
@@ -522,9 +521,7 @@ def scenario_example1(cfg: ProbeConfig) -> ScenarioResult:
         "condition-2": _ref("-sinh(theta)*cosh(theta) + theta"),
     }
     entries = _recon_entries(reconcile_with_paper(computed, expected, cfg))
-    report = harmonicity_residuals(
-        build_gks(g_spec), build_gks(hat_spec), zero_kwargs=cfg.zero_kwargs()
-    )
+    report = harmonicity_residuals(build_gks(g_spec), build_gks(hat_spec), cfg=cfg)
     if report.verdict.kind == "not_harmonic" and report.verdict.witness:
         witness = ", ".join(
             f"{k}={v:.6g}" for k, v in sorted(report.verdict.witness.items())
@@ -552,7 +549,7 @@ def scenario_example1(cfg: ProbeConfig) -> ScenarioResult:
 
 def scenario_curvature_table(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
-    conn = christoffel(g, zero_kwargs=cfg.zero_kwargs())
+    conn = christoffel(g, cfg=cfg)
     riem = riemann(conn)
     contracted = fiber_contract(riem)
     computed = {riem.display_key(h, i, j, "0"): v for (h, i, j), v in contracted.items()}
@@ -571,9 +568,8 @@ def scenario_curvature_table(cfg: ProbeConfig) -> ScenarioResult:
 def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
     d = build_gks(hatted_abstract_spec())
-    zk = cfg.zero_kwargs()
-    base = harmonicity_residuals(g, d, zero_kwargs=zk)
-    lifted = lifted_harmonicity(g, d, kind, zero_kwargs=zk)
+    base = harmonicity_residuals(g, d, cfg=cfg)
+    lifted = lifted_harmonicity(g, d, kind, cfg=cfg)
     computed = {}
     expected = {}
     for k in range(4):
@@ -618,16 +614,15 @@ def _complete_pattern_value(conn: Connection, tchart: Chart, k: int, i: int, j: 
 
 def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
-    zk = cfg.zero_kwargs()
     lifted = lift_metric(g, LiftKind.COMPLETE)
-    conn = lift_connection(g, LiftKind.COMPLETE, zero_kwargs=zk)
-    tchart = lifted.metric.chart
+    conn = lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
+    tchart = lifted.chart
 
     # metric blocks against the printed matrix
     computed = {}
     for i in range(8):
         for j in range(i, 8):
-            v = lifted.metric.entry(i, j)
+            v = lifted.entry(i, j)
             if v != ZERO:
                 computed[f"cg_{tchart.index_name(i)},{tchart.index_name(j)}"] = v
     expected = {
@@ -655,7 +650,7 @@ def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
 
     # full pattern check covers every slot, including the mirror slots the
     # printed table omits
-    base_conn = christoffel(g, zero_kwargs=zk)
+    base_conn = christoffel(g, cfg=cfg)
     keys = set(conn.coefficients)
     for k in range(8):
         for i in range(8):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
-from .expr import Expr, ZERO, esum, eprod, differentiate, simplify, substitute
+from .expr import Expr, ProbeConfig, ZERO, esum, eprod, differentiate, simplify, substitute
 from .geometry import Chart, Frame, GeometryError, Metric, inverse
-from .connection import Connection, christoffel, fiber_contract, riemann
+from .connection import Connection, christoffel
 from .lifts import LiftKind, lift_connection, lift_metric
 
 __all__ = [
@@ -51,10 +51,10 @@ class HarmonicityReport:
         return self.residuals.get(label, ZERO)
 
 
-def _judge(chart: Chart, residuals: dict, notes, zero_kwargs) -> HarmonicityReport:
+def _judge(chart: Chart, residuals: dict, notes, cfg: ProbeConfig) -> HarmonicityReport:
     undecided = []
     for label, rho in residuals.items():
-        v = ex.is_identically_zero(rho, **(zero_kwargs or {}))
+        v = ex.is_identically_zero(rho, cfg=cfg)
         if v.is_nonzero:
             verdict = Verdict(
                 "not_harmonic", index=label, witness=v.witness, value=v.value
@@ -74,7 +74,7 @@ def second_fundamental_form(
     g1: Metric,
     g2: Metric,
     *,
-    zero_kwargs: Optional[Mapping] = None,
+    cfg: ProbeConfig = ProbeConfig(),
 ) -> dict:
     """beta(f)^gamma_ij for a map given by coordinate expressions.
 
@@ -89,8 +89,8 @@ def second_fundamental_form(
         raise GeometryError(f"map needs {n} component expressions")
     xs = g1.chart.coords
     ys = g2.chart.coords
-    conn1 = christoffel(g1, zero_kwargs=zero_kwargs)
-    conn2 = christoffel(g2, zero_kwargs=zero_kwargs)
+    conn1 = christoffel(g1, cfg=cfg)
+    conn2 = christoffel(g2, cfg=cfg)
     jac = [[differentiate(f_map[a], xs[i]) for i in range(m)] for a in range(n)]
     pullback = {y: f_map[a] for a, y in enumerate(ys)}
     target = {
@@ -121,11 +121,11 @@ def tension_field(
     g1: Metric,
     g2: Metric,
     *,
-    zero_kwargs: Optional[Mapping] = None,
+    cfg: ProbeConfig = ProbeConfig(),
 ) -> tuple:
     """tau(f)^gamma = g^ij beta(f)^gamma_ij (trace with the domain metric)."""
-    beta = second_fundamental_form(f_map, g1, g2, zero_kwargs=zero_kwargs)
-    ginv = inverse(g1, zero_kwargs=zero_kwargs)
+    beta = second_fundamental_form(f_map, g1, g2, cfg=cfg)
+    ginv = inverse(g1, cfg=cfg)
     m = g1.dim
     n = g2.dim
     out = []
@@ -147,7 +147,7 @@ def harmonicity_residuals(
     g: Metric,
     d: Metric,
     *,
-    zero_kwargs: Optional[Mapping] = None,
+    cfg: ProbeConfig = ProbeConfig(),
 ) -> HarmonicityReport:
     """rho^k = g^ij (dGamma^k_ij - Gamma^k_ij) for every upper index.
 
@@ -165,15 +165,15 @@ def harmonicity_residuals(
             "adapted-frame pairs have no coordinate connection; "
             "use lifted_harmonicity on the base metrics"
         )
-    conn_g = christoffel(g, zero_kwargs=zero_kwargs)
-    conn_d = christoffel(d, zero_kwargs=zero_kwargs)
-    return _trace(g, conn_g, conn_d, zero_kwargs, ())
+    conn_g = christoffel(g, cfg=cfg)
+    conn_d = christoffel(d, cfg=cfg)
+    return _trace(g, conn_g, conn_d, cfg, ())
 
 
 def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
-           zero_kwargs, notes) -> HarmonicityReport:
+           cfg: ProbeConfig, notes) -> HarmonicityReport:
     """Judge the traces g^ij (conn_d - conn_g)^k_ij of every upper index k."""
-    ginv = inverse(g, zero_kwargs=zero_kwargs)
+    ginv = inverse(g, cfg=cfg)
     n = g.dim
     weights = [
         [(j, ginv.entry(i, j)) for j in range(n) if ginv.entry(i, j) != ZERO]
@@ -188,7 +188,7 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
                 if delta != ZERO:
                     terms.append(w * delta)
         residuals[g.chart.index_name(k)] = esum(terms) if terms else ZERO
-    return _judge(g.chart, residuals, notes, zero_kwargs)
+    return _judge(g.chart, residuals, notes, cfg)
 
 
 def lifted_harmonicity(
@@ -196,44 +196,25 @@ def lifted_harmonicity(
     d: Metric,
     kind: LiftKind,
     *,
-    zero_kwargs: Optional[Mapping] = None,
+    cfg: ProbeConfig = ProbeConfig(),
 ) -> HarmonicityReport:
     """Harmonicity of the lifted pair on the tangent bundle.
 
     Builds the lift metrics and connections for both metrics and runs the
     2m-index trace system. For the Sasaki lift the barred-index residuals
-    reduce to curvature differences g^ij (Rhat - R)^k_ij0; whether they
-    cancel identically is recorded in the report notes.
+    reduce to curvature differences g^ij (Rhat - R)^k_ij0, which the report
+    notes record as vanishing identically.
     """
     kind = LiftKind(kind)
     if g.chart != d.chart:
         raise GeometryError("metrics live on different charts")
     lg = lift_metric(g, kind)
-    conn_g = lift_connection(g, kind, zero_kwargs=zero_kwargs)
-    conn_d = lift_connection(d, kind, zero_kwargs=zero_kwargs)
+    conn_g = lift_connection(g, kind, cfg=cfg)
+    conn_d = lift_connection(d, kind, cfg=cfg)
     notes = []
     if kind is LiftKind.SASAKI:
-        ginv = inverse(g, zero_kwargs=zero_kwargs)
-        m = g.dim
-        fg = fiber_contract(riemann(christoffel(g, zero_kwargs=zero_kwargs)))
-        fd = fiber_contract(riemann(christoffel(d, zero_kwargs=zero_kwargs)))
-        identically = True
-        for k in range(m):
-            terms = []
-            for i in range(m):
-                for j in range(m):
-                    w = ginv.entry(i, j)
-                    if w == ZERO or i == j:
-                        continue
-                    key = (k, i, j) if i < j else (k, j, i)
-                    sign = 1 if i < j else -1
-                    delta = sign * (fd.get(key, ZERO) - fg.get(key, ZERO))
-                    if delta != ZERO:
-                        terms.append(w * delta)
-            if terms and esum(terms) != ZERO:
-                identically = False
-        notes.append(
-            "barred-trace curvature difference g^ij (Rhat - R)^k_ij0 "
-            + ("vanishes identically" if identically else "does not vanish identically")
-        )
-    return _trace(lg.metric, conn_g, conn_d, zero_kwargs, notes)
+        # g^ij is symmetric and (Rhat - R)^k_ij0 = (Rhat - R)^k_ijh u^h is
+        # antisymmetric in (i, j), so their contraction is 0 for every pair
+        notes.append("barred-trace curvature difference g^ij (Rhat - R)^k_ij0 "
+                     "vanishes identically")
+    return _trace(lg, conn_g, conn_d, cfg, notes)

@@ -13,15 +13,14 @@ coordinates and its connection is always recomputed generically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
-from .expr import Coord, Expr, Rat, ZERO, eprod, esum, differentiate, simplify
+from .expr import Coord, Expr, ProbeConfig, Rat, ZERO, eprod, esum, differentiate, simplify
 from .geometry import Frame, GeometryError, Metric, _derive
 from .connection import Connection, Riemann, christoffel, riemann
 
 __all__ = [
-    "LiftKind", "LiftedMetric", "vertical_lift", "horizontal_lift_vector",
+    "LiftKind", "vertical_lift", "horizontal_lift_vector",
     "lift_metric", "lift_connection",
 ]
 
@@ -30,16 +29,6 @@ class LiftKind(enum.Enum):
     SASAKI = "sasaki"
     HORIZONTAL = "horizontal"
     COMPLETE = "complete"
-
-
-@dataclass(frozen=True)
-class LiftedMetric:
-    kind: LiftKind
-    metric: Metric
-
-    @property
-    def frame(self) -> Frame:
-        return self.metric.frame
 
 
 def vertical_lift(components: Sequence[Expr]) -> tuple:
@@ -68,8 +57,9 @@ def horizontal_lift_vector(components: Sequence[Expr], c: Connection) -> tuple:
     return comps + tuple(vertical)
 
 
-def lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
-    """Block forms on the tangent chart.
+def lift_metric(g: Metric, kind: LiftKind) -> Metric:
+    """The lifted metric: a block form on the tangent chart, whose frame is
+    adapted or natural.
 
     Sasaki:     diag(g, g)        adapted frame
     Horizontal: (0, g; g, 0)      adapted frame
@@ -81,7 +71,7 @@ def lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
     return _derive(g, ("lift", kind), lambda: _lift_metric(g, kind))
 
 
-def _lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
+def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
     tchart = g.chart.tangent()
     entries: dict = {}
@@ -119,7 +109,7 @@ def _lift_metric(g: Metric, kind: LiftKind) -> LiftedMetric:
                 if drift != ZERO:
                     entries[(i, j)] = drift
         frame = Frame.NATURAL
-    return LiftedMetric(kind, Metric.from_entries(tchart, entries, frame))
+    return Metric.from_entries(tchart, entries, frame)
 
 
 def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection:
@@ -179,7 +169,7 @@ def _horizontal_connection(g: Metric, conn: Connection) -> Connection:
 
 
 def lift_connection(
-    g: Metric, kind: LiftKind, *, zero_kwargs: Optional[Mapping] = None
+    g: Metric, kind: LiftKind, *, cfg: ProbeConfig = ProbeConfig()
 ) -> Connection:
     """Levi-Civita connection of the lifted metric.
 
@@ -189,8 +179,8 @@ def lift_connection(
     """
     kind = LiftKind(kind)
     if kind is LiftKind.COMPLETE:
-        return christoffel(lift_metric(g, kind).metric, zero_kwargs=zero_kwargs)
-    conn = christoffel(g, zero_kwargs=zero_kwargs)
+        return christoffel(lift_metric(g, kind), cfg=cfg)
+    conn = christoffel(g, cfg=cfg)
     if kind is LiftKind.HORIZONTAL:
         return _horizontal_connection(g, conn)
     return _sasaki_connection(g, conn, riemann(conn))

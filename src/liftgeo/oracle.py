@@ -3,7 +3,6 @@ random-point identity probing, and reference-table reconciliation."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +10,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Coord, Expr, FuncSymbol, Power, Rat, ZERO,
+    Coord, Expr, FuncSymbol, Power, ProbeConfig, Rat, ZERO,
     SingularPointError, differentiate, simplify, substitute, to_string,
 )
 
@@ -28,33 +27,6 @@ class OracleError(Exception):
 
 class InconclusiveError(OracleError):
     """Every probe hit a singular denominator; no verdict is possible."""
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    seed: int = 0
-    probes: int = 20
-    zero_tol: float = 1e-9
-    fd_step: float = 1e-5
-    fd_rel_tol: float = 1e-6
-    domain: Optional[Mapping] = None  # label -> (lo, hi), defaults per symbol
-
-    def __post_init__(self):
-        if self.probes < 1:
-            raise ValueError("probes must be >= 1")
-        if not all(0 < x < math.inf for x in (self.zero_tol, self.fd_step, self.fd_rel_tol)):
-            raise ValueError("tolerances and steps must be positive and finite")
-        for label, (lo, hi) in (self.domain or {}).items():
-            if not lo < hi:
-                raise ValueError(f"degenerate probe interval for {label!r}")
-
-    def zero_kwargs(self) -> dict:
-        return {
-            "seed": self.seed,
-            "probes": self.probes,
-            "zero_tol": self.zero_tol,
-            "domain": self.domain,
-        }
 
 
 def _polynomial_standin(func: FuncSymbol, rng: random.Random) -> Expr:
@@ -117,7 +89,7 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     h = cfg.fd_step
     worst = 0.0
     used = 0
-    for candidates in ex._probe_points(symbols, cfg.probes, cfg.seed, cfg.domain):
+    for candidates in ex._probe_points(symbols, cfg):
         for env, _ in candidates:
             try:
                 exact = ex._eval(analytic, env, ex.DEFAULT_EPSILON)
@@ -191,7 +163,7 @@ def reconcile_with_paper(
         if diff == ZERO:
             entries.append(ReconEntry(name, "match"))
             continue
-        verdict = ex.is_identically_zero(diff, **cfg.zero_kwargs())
+        verdict = ex.is_identically_zero(diff, cfg=cfg)
         if verdict.is_nonzero:
             entries.append(ReconEntry(
                 name, "mismatch", difference=diff,

@@ -44,7 +44,7 @@ def equivalence_scenario():
 
 def test_criterion_1_christoffel_matrices(gks_metric):
     start = time.perf_counter()
-    conn = christoffel(gks_metric, zero_kwargs=CFG.zero_kwargs())
+    conn = christoffel(gks_metric, cfg=CFG)
     elapsed = time.perf_counter() - start
     computed = dict(conn.items())
     assert set(computed) == set(GAMMA_REF), "unexpected nonzero coefficients"
@@ -57,7 +57,7 @@ def test_criterion_1_christoffel_matrices(gks_metric):
 
 def test_criterion_2_inverse_metrics(gks_metric):
     start = time.perf_counter()
-    ginv = inverse(gks_metric, zero_kwargs=CFG.zero_kwargs())
+    ginv = inverse(gks_metric, cfg=CFG)
     base_expected = {
         (0, 0): "1", (1, 1): "-1/X(t)^2", (2, 2): "-1/Y(t)^2",
         (3, 3): "-1/(Y(t)^2*f(theta)^2)",
@@ -67,7 +67,7 @@ def test_criterion_2_inverse_metrics(gks_metric):
             want = ref(base_expected[(i, j)]) if (i, j) in base_expected else ZERO
             assert ginv.entry(i, j) == simplify(want), (i, j)
     lifted = lift_metric(gks_metric, LiftKind.COMPLETE)
-    linv = inverse(lifted.metric, zero_kwargs=CFG.zero_kwargs())
+    linv = inverse(lifted, cfg=CFG)
     lifted_expected = {
         (0, 4): "1", (1, 5): "-1/X(t)^2", (2, 6): "-1/Y(t)^2",
         (3, 7): "-1/(Y(t)^2*f(theta)^2)",
@@ -85,7 +85,7 @@ def test_criterion_2_inverse_metrics(gks_metric):
 
 def test_criterion_3_base_traces(gks_metric, gks_hat_metric):
     rep = harmonicity_residuals(gks_metric, gks_hat_metric,
-                                zero_kwargs=CFG.zero_kwargs())
+                                cfg=CFG)
     assert rep.residual("2") == ZERO
     assert rep.residual("4") == ZERO
     rho1 = ref(
@@ -105,7 +105,7 @@ def test_criterion_4_example_pair():
     assert c1 == ZERO
     assert equivalent(c2, ref("-sinh(theta)*cosh(theta) + theta"))
     rep = harmonicity_residuals(build_gks(g_spec), build_gks(hat_spec),
-                                zero_kwargs=CFG.zero_kwargs())
+                                cfg=CFG)
     assert rep.verdict.kind == "not_harmonic"
     assert rep.verdict.witness is not None
     assert abs(rep.verdict.value) > CFG.zero_tol
@@ -130,9 +130,9 @@ def _corpus_results(scenario, lift_name):
 
 def test_criterion_6_sasaki(gks_metric, gks_hat_metric, equivalence_scenario):
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
-                                 zero_kwargs=CFG.zero_kwargs())
+                                 cfg=CFG)
     lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.SASAKI,
-                                zero_kwargs=CFG.zero_kwargs())
+                                cfg=CFG)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(f"{k}bar") == ZERO, f"barred residual {k}bar"
         assert equivalent(lifted.residual(k), base.residual(k))
@@ -145,9 +145,9 @@ def test_criterion_6_sasaki(gks_metric, gks_hat_metric, equivalence_scenario):
 
 def test_criterion_7_horizontal(gks_metric, gks_hat_metric, equivalence_scenario):
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
-                                 zero_kwargs=CFG.zero_kwargs())
+                                 cfg=CFG)
     lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.HORIZONTAL,
-                                zero_kwargs=CFG.zero_kwargs())
+                                cfg=CFG)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(k) == simplify(base.residual(k))
         assert lifted.residual(f"{k}bar") == ZERO
@@ -158,7 +158,7 @@ def test_criterion_7_horizontal(gks_metric, gks_hat_metric, equivalence_scenario
 
 def test_criterion_8_complete_connection_table(gks_metric):
     conn = lift_connection(gks_metric, LiftKind.COMPLETE,
-                           zero_kwargs=CFG.zero_kwargs())
+                           cfg=CFG)
     mismatched = []
     for key, text in COMPLETE_CONNECTION_REF.items():
         diff = simplify(conn.get(*key) - ref(text))
@@ -183,9 +183,9 @@ def test_criterion_9_complete_theorem(gks_metric, gks_hat_metric, equivalence_sc
     bad = _corpus_results(equivalence_scenario, "complete")
     assert not bad, f"counterexamples: {bad}"
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
-                                 zero_kwargs=CFG.zero_kwargs())
+                                 cfg=CFG)
     lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.COMPLETE,
-                                zero_kwargs=CFG.zero_kwargs())
+                                cfg=CFG)
     c1, c2 = condition_18(abstract_spec(), hatted_abstract_spec())
     # base residuals are rational multiples of the two obstructions ...
     assert equivalent(base.residual("1"), simplify(-c1))
@@ -204,7 +204,7 @@ def test_criterion_10_property_suite(gks_metric, sphere_metric, flat4_metric,
                                      example_metrics, capsys):
     corpus = [gks_metric, sphere_metric, flat4_metric, *example_metrics]
     for metric in corpus:
-        conn = christoffel(metric, zero_kwargs=CFG.zero_kwargs())
+        conn = christoffel(metric, cfg=CFG)
         n = metric.dim
         for k in range(n):
             for i in range(n):

@@ -264,3 +264,21 @@ def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "repeats" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, code", [
+    # every probe of x^99999999 overflows or underflows a double
+    ("chart x y\ng 1 1 = x^99999999\ng 2 2 = 1\n", 1),
+    # exp(1000*t) overflows on most of the t interval, not all of it
+    ("chart t x\ng 1 1 = exp(1000*t)\ng 2 2 = 1\n", 0),
+    # a constant beyond the double range overflows at every probe
+    ("chart t x\ng 1 1 = 10^400\ng 2 2 = 1\n", 1),
+], ids=["power", "exp", "constant"])
+def test_overflow_at_a_probe_point_is_a_singular_point(tmp_path, capsys, text, code):
+    p = tmp_path / "overflow.metric"
+    p.write_text(text)
+    got, out, err = run(capsys, "christoffel", str(p))
+    assert got == code
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and "cannot certify nondegeneracy" in err

@@ -67,7 +67,7 @@ def test_adapted_frames_rejected_by_christoffel(gks_metric):
     from liftgeo.lifts import LiftKind, lift_metric
     lifted = lift_metric(gks_metric, LiftKind.SASAKI)
     with pytest.raises(GeometryError):
-        christoffel(lifted.metric)
+        christoffel(lifted)
 
 
 def test_flat_curvature_vanishes():

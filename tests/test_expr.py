@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from liftgeo import _poly
 from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc,
-    ParseError, Power, Product, Rat, SingularPointError, SubstitutionError,
+    ParseError, Power, ProbeConfig, Product, Rat, SingularPointError, SubstitutionError,
     Sum, SymbolTable, ZERO,
     differentiate, equivalent, eval_numeric, is_identically_zero, parse,
     simplify, substitute, to_string,
@@ -236,6 +236,12 @@ def test_eval_denominator_epsilon():
         eval_numeric(e, {"theta": 0.0})
 
 
+@pytest.mark.parametrize("text", ["exp(1000*t)", "t^99999", "10^400"])
+def test_eval_overflow_is_a_singular_point(text):
+    with pytest.raises(SingularPointError, match="overflows"):
+        eval_numeric(parse(text, syms()), {"t": 2.0})
+
+
 def test_eval_missing_binding():
     with pytest.raises(EvalError, match="no binding"):
         eval_numeric(parse("X(t) + r", syms()), {"X": 1.0})
@@ -264,10 +270,10 @@ def test_zero_test_opaque_identity_stays_unknown():
 
 def test_zero_test_deterministic():
     e = parse("-sinh(theta)*cosh(theta) + theta", syms())
-    a = is_identically_zero(e, seed=7)
-    b = is_identically_zero(e, seed=7)
+    a = is_identically_zero(e, cfg=ProbeConfig(seed=7))
+    b = is_identically_zero(e, cfg=ProbeConfig(seed=7))
     assert a == b
-    c = is_identically_zero(e, seed=8)
+    c = is_identically_zero(e, cfg=ProbeConfig(seed=8))
     assert c.is_nonzero  # verdict stable even when the witness moves
 
 
@@ -275,7 +281,7 @@ def test_zero_test_redraws_singular_probes():
     # 1/theta is singular nowhere on the safe domain, but a custom domain
     # straddling zero forces redraws; the verdict must still come back
     e = parse("1/c9", syms())
-    verdict = is_identically_zero(e, domain={"c9": (-1.0, 1.0)})
+    verdict = is_identically_zero(e, cfg=ProbeConfig(domain={"c9": (-1.0, 1.0)}))
     assert verdict.is_nonzero
 
 

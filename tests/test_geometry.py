@@ -81,7 +81,7 @@ def test_determinant_of_horizontal_lift_is_square(gks_metric):
     # block anti-diagonal (0, g; g, 0): sign (-1)^m = +1 for m = 4
     lifted = lift_metric(gks_metric, LiftKind.HORIZONTAL)
     det = determinant(gks_metric)
-    assert determinant(lifted.metric) == simplify(det * det)
+    assert determinant(lifted) == simplify(det * det)
 
 
 def test_det_of_inverse_is_reciprocal(gks_metric, sphere_metric):
@@ -150,7 +150,7 @@ def test_complete_lift_inverse_expands_only_two_by_two_minors(monkeypatch):
     # a fresh base metric, so no lift or inverse is kept from another test
     from liftgeo import geometry
     from liftgeo.gks import abstract_spec, build_gks
-    lifted = lift_metric(build_gks(abstract_spec()), LiftKind.COMPLETE).metric
+    lifted = lift_metric(build_gks(abstract_spec()), LiftKind.COMPLETE)
     sizes = []
     original = geometry._det_minor
 

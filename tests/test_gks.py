@@ -149,10 +149,10 @@ def test_corpus_verdict_matches_condition_18():
     for name, g_spec, hat_spec in corpus_pairs(seed=3, count=8):
         g = build_gks(g_spec)
         d = build_gks(hat_spec)
-        report = harmonicity_residuals(g, d, zero_kwargs=cfg.zero_kwargs())
+        report = harmonicity_residuals(g, d, cfg=cfg)
         c1, c2 = condition_18(g_spec, hat_spec)
-        v1 = is_identically_zero(c1, **cfg.zero_kwargs())
-        v2 = is_identically_zero(c2, **cfg.zero_kwargs())
+        v1 = is_identically_zero(c1, cfg=cfg)
+        v2 = is_identically_zero(c2, cfg=cfg)
         assert report.verdict.kind != "undecided", name
         assert not (v1.is_unknown or v2.is_unknown), name
         expected_harmonic = v1.is_zero and v2.is_zero

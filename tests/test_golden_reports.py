@@ -34,6 +34,11 @@ def _requests():
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
     ]
+    # adapted-frame lifts; the Sasaki report carries a note
+    for kind in ("sasaki", "horizontal"):
+        yield f"harmonic-{kind}-gks-gks", [
+            "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", kind,
+        ]
 
 
 REQUESTS = dict(_requests())

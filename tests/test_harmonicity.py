@@ -2,7 +2,7 @@
 
 import pytest
 
-from liftgeo.expr import ZERO, equivalent, simplify
+from liftgeo.expr import ZERO, SymbolTable, equivalent, parse, simplify
 from liftgeo.connection import christoffel
 from liftgeo.geometry import Chart, GeometryError, Metric, identity_matrix
 from liftgeo.harmonicity import (
@@ -110,8 +110,8 @@ def test_relation_is_asymmetric(example_metrics):
 def test_chart_and_frame_mismatch_rejected(gks_metric, sphere_metric):
     with pytest.raises(GeometryError, match="chart"):
         harmonicity_residuals(gks_metric, sphere_metric)
-    sasaki = lift_metric(gks_metric, LiftKind.SASAKI).metric
-    complete = lift_metric(gks_metric, LiftKind.COMPLETE).metric
+    sasaki = lift_metric(gks_metric, LiftKind.SASAKI)
+    complete = lift_metric(gks_metric, LiftKind.COMPLETE)
     with pytest.raises(GeometryError, match="frame"):
         harmonicity_residuals(sasaki, complete)
     with pytest.raises(GeometryError, match="adapted-frame"):
@@ -126,6 +126,28 @@ def test_sasaki_lifted_residuals(gks_metric, gks_hat_metric):
         assert equivalent(lifted.residual(k), base.residual(k))
     assert any("vanishes identically" in note for note in lifted.notes)
     assert lifted.verdict.kind == base.verdict.kind
+
+
+def test_sasaki_note_holds_on_a_non_diagonal_pair():
+    # g^ij is symmetric where it is off the diagonal, so the barred traces
+    # still cancel: the report's own residuals back its note
+    syms = SymbolTable(coords=("t", "x"))
+    chart = Chart(("t", "x"))
+
+    def metric(g11, g12, g22):
+        return Metric.from_entries(chart, {
+            (0, 0): parse(g11, syms), (0, 1): parse(g12, syms), (1, 1): parse(g22, syms),
+        })
+
+    g = metric("1 + t*x", "x^2", "-exp(t)")
+    d = metric("t^3", "sin(x)", "2 + x")
+    lifted = lifted_harmonicity(g, d, LiftKind.SASAKI)
+    assert lifted.notes == (
+        "barred-trace curvature difference g^ij (Rhat - R)^k_ij0 vanishes identically",
+    )
+    for k in ("1", "2"):
+        assert lifted.residual(f"{k}bar") == ZERO
+    assert lifted.verdict.kind == "not_harmonic"
 
 
 def test_horizontal_lifted_residuals(gks_metric, gks_hat_metric):
@@ -181,13 +203,13 @@ def test_complete_lift_inverts_each_lifted_metric_once(monkeypatch):
     assert len(eight) == 2
     assert eight[0] is not eight[1]
     assert {id(m) for m in eight} == {
-        id(lift_metric(g, LiftKind.COMPLETE).metric),
-        id(lift_metric(d, LiftKind.COMPLETE).metric),
+        id(lift_metric(g, LiftKind.COMPLETE)),
+        id(lift_metric(d, LiftKind.COMPLETE)),
     }
 
 
 def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):
-    sasaki = lift_metric(gks_metric, LiftKind.SASAKI).metric
+    sasaki = lift_metric(gks_metric, LiftKind.SASAKI)
     with pytest.raises(GeometryError, match="adapted-frame.*lifted_harmonicity"):
         harmonicity_residuals(sasaki, sasaki)
 

@@ -65,8 +65,8 @@ def test_horizontal_lift_of_zero_field(gks_conn):
 
 def test_sasaki_blocks(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.SASAKI)
-    assert lifted.metric.frame is Frame.ADAPTED
-    m = lifted.metric
+    assert lifted.frame is Frame.ADAPTED
+    m = lifted
     for i in range(4):
         for j in range(4):
             assert m.entry(i, j) == gks_metric.entry(i, j)
@@ -76,8 +76,8 @@ def test_sasaki_blocks(gks_metric):
 
 def test_horizontal_blocks(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.HORIZONTAL)
-    assert lifted.metric.frame is Frame.ADAPTED
-    m = lifted.metric
+    assert lifted.frame is Frame.ADAPTED
+    m = lifted
     for i in range(4):
         for j in range(4):
             assert m.entry(i, j + 4) == gks_metric.entry(i, j)
@@ -87,8 +87,8 @@ def test_horizontal_blocks(gks_metric):
 
 def test_complete_lift_matrix(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.COMPLETE)
-    assert lifted.metric.frame is Frame.NATURAL
-    m = lifted.metric
+    assert lifted.frame is Frame.NATURAL
+    m = lifted
     assert m.entry(1, 1) == ref("-2*u1*X(t)*X'(t)")
     assert m.entry(3, 3) == ref(
         "-(2*u1*Y(t)*Y'(t)*f(theta)^2 + 2*u3*Y(t)^2*f(theta)*f'(theta))"
@@ -101,7 +101,7 @@ def test_complete_lift_matrix(gks_metric):
 
 def test_complete_lift_of_flat_base():
     lifted = lift_metric(flat_metric(), LiftKind.COMPLETE)
-    m = lifted.metric
+    m = lifted
     for i in range(4):
         for j in range(4):
             assert m.entry(i, j) == ZERO
@@ -112,7 +112,7 @@ def test_complete_lift_of_flat_base():
 def test_lift_of_lifted_metric_rejected(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.SASAKI)
     with pytest.raises(Exception):
-        lift_metric(lifted.metric, LiftKind.SASAKI)
+        lift_metric(lifted, LiftKind.SASAKI)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +175,13 @@ def test_complete_connection_general_pattern(gks_metric, gks_conn):
 def test_complete_lift_pair_is_metric_compatible(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.COMPLETE)
     cconn = lift_connection(gks_metric, LiftKind.COMPLETE)
-    res = metric_compatibility_residual(lifted.metric, cconn)
+    res = metric_compatibility_residual(lifted, cconn)
     assert all(v == ZERO for v in res.values())
 
 
 def test_complete_lift_inverse_matches_block_form(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.COMPLETE)
-    linv = inverse(lifted.metric)
+    linv = inverse(lifted)
     expected = {
         (0, 4): "1",
         (1, 5): "-1/X(t)^2",

@@ -22,8 +22,8 @@ def test_probe_config_validation():
     with pytest.raises(ValueError):
         ProbeConfig(domain={"t": (2.0, 1.0)})
     cfg = ProbeConfig(seed=5, probes=7)
-    assert cfg.zero_kwargs()["seed"] == 5
-    assert cfg.zero_kwargs()["probes"] == 7
+    assert cfg.seed == 5
+    assert cfg.probes == 7
 
 
 @pytest.mark.parametrize("field", ["zero_tol", "fd_step", "fd_rel_tol"])
