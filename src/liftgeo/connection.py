@@ -4,9 +4,10 @@ coordinates, plus the fiber contraction used on tangent bundles."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
-from .expr import Coord, Expr, ProbeConfig, Rat, ZERO, esum, eprod, differentiate, simplify
+from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
 
 __all__ = [
@@ -77,32 +78,29 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
                 de = differentiate(entry, coords[l])
                 if de != ZERO:
                     d[(l, i, j)] = d[(l, j, i)] = de
+    # first-kind symbols Gamma_lij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij),
+    # built only where one of the three derivatives is nonzero
+    half = Fraction(1, 2)
+    first = {}
+    for l in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                if {(i, j, l), (j, i, l), (l, i, j)} & d.keys():
+                    first[(l, i, j)] = esum((
+                        (half, d.get((i, j, l), ZERO)),
+                        (half, d.get((j, i, l), ZERO)),
+                        (-half, d.get((l, i, j), ZERO)),
+                    ))
+    pairs = {(i, j) for _, i, j in first}
+    # Gamma^k_ij = g^kl Gamma_lij, along the nonzero entries of row k
     inv_rows = [
         [(l, ginv.entry(k, l)) for l in range(n) if ginv.entry(k, l) != ZERO]
         for k in range(n)
     ]
-    coeffs = {}
-    half = Rat(1) / 2
-    for k in range(n):
-        row = inv_rows[k]
-        for i in range(n):
-            for j in range(i, n):
-                terms = []
-                for l, gkl in row:
-                    inner = []
-                    a = d.get((i, j, l))
-                    if a is not None:
-                        inner.append(a)
-                    b = d.get((j, i, l))
-                    if b is not None:
-                        inner.append(b)
-                    c = d.get((l, i, j))
-                    if c is not None:
-                        inner.append(-c)
-                    if inner:
-                        terms.append(gkl * esum(inner))
-                if terms:
-                    coeffs[(k, i, j)] = half * esum(terms)
+    coeffs = {
+        (k, i, j): esum((gkl, first.get((l, i, j), ZERO)) for l, gkl in inv_rows[k])
+        for k in range(n) for i, j in pairs
+    }
     return Connection(g.chart, coeffs, Frame.NATURAL)
 
 
@@ -152,35 +150,27 @@ def riemann(c: Connection) -> Riemann:
 def _riemann(c: Connection) -> Riemann:
     n = c.chart.dim
     coords = c.chart.coords
-    comps = {}
-    for h in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    terms = []
-                    a = c.get(h, j, k)
-                    if a != ZERO:
-                        da = differentiate(a, coords[i])
-                        if da != ZERO:
-                            terms.append(da)
-                    b = c.get(h, i, k)
-                    if b != ZERO:
-                        db = differentiate(b, coords[j])
-                        if db != ZERO:
-                            terms.append(-db)
-                    for l in range(n):
-                        hil = c.get(h, i, l)
-                        if hil != ZERO:
-                            ljk = c.get(l, j, k)
-                            if ljk != ZERO:
-                                terms.append(hil * ljk)
-                        hjl = c.get(h, j, l)
-                        if hjl != ZERO:
-                            lik = c.get(l, i, k)
-                            if lik != ZERO:
-                                terms.append(-(hjl * lik))
-                    if terms:
-                        comps[(h, i, j, k)] = esum(terms)
+    # dc[h, j, k][i] = d_i Gamma^h_jk and rows[h][i] = the nonzero Gamma^h_il
+    dc = {key: [differentiate(e, x) for x in coords] for key, e in c.coefficients.items()}
+    rows = [[[(l, c.get(h, i, l)) for l in range(n) if c.get(h, i, l) != ZERO]
+             for i in range(n)] for h in range(n)]
+
+    def d(h, j, k, i):
+        found = dc.get((h, min(j, k), max(j, k)))
+        return found[i] if found is not None else ZERO
+
+    def terms(h, i, j, k):
+        yield d(h, j, k, i)
+        yield -1, d(h, i, k, j)
+        for l, hil in rows[h][i]:
+            yield hil, c.get(l, j, k)
+        for l, hjl in rows[h][j]:
+            yield -1, hjl, c.get(l, i, k)
+
+    comps = {
+        (h, i, j, k): esum(terms(h, i, j, k))
+        for h in range(n) for i in range(n) for j in range(i + 1, n) for k in range(n)
+    }
     return Riemann(c.chart, comps)
 
 
@@ -188,11 +178,11 @@ def fiber_contract(r: Riemann) -> dict:
     """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
     tangent chart; a base chart that already names one is a GeometryError."""
     fibers = [Coord(u) for u in r.chart.tangent().coords[r.chart.dim:]]
-    out: dict = {}
-    for (h, i, j, k), e in r.components.items():
-        key = (h, i, j)
-        term = eprod((fibers[k], e))
-        out[key] = esum((out[key], term)) if key in out else term
+    keys = dict.fromkeys(key[:3] for key in r.components)
+    out = {
+        key: esum((u, r.components.get(key + (k,), ZERO)) for k, u in enumerate(fibers))
+        for key in keys
+    }
     return {k: v for k, v in out.items() if v != ZERO}
 
 
@@ -204,17 +194,9 @@ def metric_compatibility_residual(g: Metric, c: Connection) -> dict:
     """
     n = g.dim
     coords = g.chart.coords
-    out = {}
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                terms = [differentiate(g.entry(i, j), coords[k])]
-                for l in range(n):
-                    cki = c.get(l, k, i)
-                    if cki != ZERO and g.entry(l, j) != ZERO:
-                        terms.append(-(cki * g.entry(l, j)))
-                    ckj = c.get(l, k, j)
-                    if ckj != ZERO and g.entry(i, l) != ZERO:
-                        terms.append(-(ckj * g.entry(i, l)))
-                out[(k, i, j)] = esum(terms)
-    return out
+    return {
+        (k, i, j): esum([differentiate(g.entry(i, j), coords[k])]
+                        + [(-1, c.get(l, k, i), g.entry(l, j)) for l in range(n)]
+                        + [(-1, c.get(l, k, j), g.entry(i, l)) for l in range(n)])
+        for k in range(n) for i in range(n) for j in range(i, n)
+    }

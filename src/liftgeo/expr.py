@@ -35,7 +35,7 @@ __all__ = [
     "Expr", "Rat", "Coord", "Const", "FuncApp", "KnownFunc", "Sum", "Product",
     "Power", "FuncSymbol", "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
-    "SubstitutionError",
+    "SubstitutionError", "ResourceLimitError",
     "parse", "to_string", "simplify", "differentiate", "substitute",
     "eval_numeric", "is_identically_zero", "equivalent", "esum", "eprod",
     "ZERO", "ONE", "KNOWN_FUNCTIONS", "DEFAULT_PROBE_COUNT",
@@ -50,6 +50,11 @@ DEFAULT_EPSILON = 1e-9
 # factors nest at most this deep; a parenthesised group, a function argument
 # and a unary minus each open one more level
 MAX_NESTING = 100
+# a power may expand to at most this many terms (as _power_term_bound counts
+# them): the largest count in the tests, bundled metrics and benchmark inputs
+# is 201, for (1+t+t^2)^100, and 20000 draws of the quotient-rule property's
+# denominators squared reach at most 820
+MAX_EXPANSION_TERMS = 2000
 
 
 class ExprError(Exception):
@@ -73,6 +78,10 @@ class SingularPointError(EvalError):
 
 class SubstitutionError(ExprError):
     pass
+
+
+class ResourceLimitError(ExprError):
+    """An operation would pass a size budget such as MAX_EXPANSION_TERMS."""
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +266,33 @@ def _frac_of(e: Expr):
             acc = _poly.f_mul(acc, _frac_of(f))
         return acc
     if isinstance(e, Power):
+        base = _frac_of(e.base)
+        n = abs(e.exponent)
+        for p in base:
+            if n > 1 and _power_term_bound(p, n) > MAX_EXPANSION_TERMS:
+                raise ResourceLimitError(
+                    f"power {e.exponent} of a {len(p)}-term polynomial may "
+                    f"expand past {MAX_EXPANSION_TERMS} terms"
+                )
         try:
-            return _poly.f_pow(_frac_of(e.base), e.exponent)
+            return _poly.f_pow(base, e.exponent)
         except ZeroDivisionError:
             raise ExprError("division by an identically zero expression") from None
     raise ExprError(f"unsupported node {type(e).__name__}")
+
+
+def _power_term_bound(p: Poly, n: int) -> int:
+    """An upper bound on the number of terms of p**n, computed without expanding.
+
+    A k-term polynomial to the n has at most C(n+k-1, k-1) terms, and no more
+    than the product over its atoms a of n*deg_a(p) + 1; the second bound is
+    the tight one for a polynomial in few atoms, such as (1 + t + t^2)^100.
+    """
+    degree = {}
+    for mono in p:
+        for atom, e in mono:
+            degree[atom] = max(degree.get(atom, 0), e)
+    return min(math.comb(n + len(p) - 1, n), math.prod(n * d + 1 for d in degree.values()))
 
 
 def _mono_sort_key(mono) -> tuple:
@@ -347,12 +378,38 @@ def _node(fr) -> Expr:
 
 
 def esum(terms: Iterable) -> Expr:
-    """Canonical sum of many expressions (single normalization pass)."""
-    return simplify(Sum(tuple(_as_expr(t) for t in terms)))
+    """The canonical sum of terms, built as one node. A term is an expression
+    or a number, or a tuple of them that stands for their product; a term
+    with a zero factor adds nothing.
+
+    Products and the sum run on the factors' stored (num, den) pairs. A
+    product is left unreduced. Numerators over the running denominator (1
+    while every denominator is 1) add as plain polynomials; a term over
+    another denominator joins through f_add. One f_make reduces the result
+    unless its denominator is 1."""
+    num, den = _poly.p_zero(), _poly.p_one()
+    for t in terms:
+        pairs = [_frac_of(_as_expr(f)) for f in (t if isinstance(t, tuple) else (t,))]
+        if not all(n for n, _ in pairs):
+            continue
+        tn, td = pairs[0] if pairs else _poly.F_ONE
+        for n, d in pairs[1:]:
+            tn = _poly.p_mul(tn, n)
+            if not _poly.p_is_const(d):
+                td = d if _poly.p_is_const(td) else _poly.p_mul(td, d)
+        if td == den:
+            num = _poly.p_add(num, tn)
+        elif _poly.p_is_const(td):
+            num = _poly.p_add(num, _poly.p_mul(tn, den))
+        elif _poly.p_is_const(den):
+            num, den = _poly.p_add(_poly.p_mul(num, td), tn), td
+        else:
+            num, den = _poly.f_add((num, den), (tn, td))
+    return _node((num, den) if _poly.p_is_const(den) else _poly.f_make(num, den))
 
 
 def eprod(factors: Iterable) -> Expr:
-    return simplify(Product(tuple(_as_expr(f) for f in factors)))
+    return esum((tuple(factors),))
 
 
 def equivalent(a: Expr, b: Expr) -> bool:
@@ -548,6 +605,13 @@ _MATH = {
 _OVERFLOW = "value overflows a double"
 
 
+def _finite(x: float) -> float:
+    # float sums and products overflow to inf (or nan) without raising
+    if not math.isfinite(x):
+        raise SingularPointError(_OVERFLOW)
+    return x
+
+
 def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
     if isinstance(e, Rat):
         try:
@@ -581,12 +645,12 @@ def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
         except OverflowError:
             raise SingularPointError(_OVERFLOW) from None
     if isinstance(e, Sum):
-        return sum(_eval(t, env, epsilon) for t in e.terms)
+        return _finite(sum(_eval(t, env, epsilon) for t in e.terms))
     if isinstance(e, Product):
         r = 1.0
         for f in e.factors:
             r *= _eval(f, env, epsilon)
-        return r
+        return _finite(r)
     if isinstance(e, Power):
         b = _eval(e.base, env, epsilon)
         if e.exponent < 0 and abs(b) <= epsilon:

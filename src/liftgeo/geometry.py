@@ -9,8 +9,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Expr, FuncSymbol, Power, ProbeConfig, Product, Rat, SymbolTable, ZERO,
-    esum, eprod, parse, simplify,
+    Expr, FuncSymbol, ProbeConfig, SymbolTable, ZERO, esum, eprod, parse, simplify,
 )
 
 __all__ = [
@@ -126,7 +125,7 @@ def identity_matrix(n: int):
 def matrix_mul(a, b):
     n = len(a)
     return tuple(
-        tuple(esum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        tuple(esum((a[i][k], b[k][j]) for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
@@ -140,17 +139,11 @@ def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:
         return found
     i = rows[0]
     rest = rows[1:]
-    terms = []
-    for pos, j in enumerate(cols):
-        a = entry(i, j)
-        if a == ZERO:
-            continue
-        sub = _det_minor(rest, cols[:pos] + cols[pos + 1:], entry, memo)
-        if sub == ZERO:
-            continue
-        term = eprod((a, sub))
-        terms.append(term if pos % 2 == 0 else -term)
-    result = esum(terms) if terms else ZERO
+    # a zero entry skips its minor's expansion
+    result = esum(
+        ((-1) ** pos, entry(i, j), _det_minor(rest, cols[:pos] + cols[pos + 1:], entry, memo))
+        for pos, j in enumerate(cols) if entry(i, j) != ZERO
+    )
     memo[key] = result
     return result
 
@@ -213,17 +206,14 @@ def _inverse(g: Metric, det: Expr) -> Metric:
     memo: dict = {}
     rows = [[ZERO] * n for _ in range(n)]
     for block in _blocks(g):
-        block_det = det if len(block) == n else _det_minor(block, block, g.entry, memo)
+        inv_det = (det if len(block) == n else _det_minor(block, block, g.entry, memo)) ** -1
         for a, i in enumerate(block):
             for b, j in enumerate(block):
                 # adj[i][j] = (-1)^(a+b) * block minor with row j and column i removed
                 minor_rows = block[:b] + block[b + 1:]
                 minor_cols = block[:a] + block[a + 1:]
                 m = _det_minor(minor_rows, minor_cols, g.entry, memo)
-                if m == ZERO:
-                    continue
-                sign = 1 if (a + b) % 2 == 0 else -1
-                rows[i][j] = simplify(Product((Rat(sign), m, Power(block_det, -1))))
+                rows[i][j] = eprod(((-1) ** (a + b), m, inv_det))
     return Metric(g.chart, rows, g.frame)
 
 

@@ -601,8 +601,7 @@ def _complete_pattern_value(conn: Connection, tchart: Chart, k: int, i: int, j: 
         return ZERO
     if i < m and j < m:
         return esum(
-            eprod((Coord(tchart.coords[m + l]),
-                   ex.differentiate(conn.get(k - m, i, j), tchart.coords[l])))
+            (Coord(tchart.coords[m + l]), ex.differentiate(conn.get(k - m, i, j), tchart.coords[l]))
             for l in range(m)
         )
     if i < m <= j:

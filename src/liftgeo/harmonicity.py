@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
-from .expr import Expr, ProbeConfig, ZERO, esum, eprod, differentiate, simplify, substitute
+from .expr import Expr, ProbeConfig, ZERO, esum, differentiate, simplify, substitute
 from .geometry import Chart, Frame, GeometryError, Metric, inverse
 from .connection import Connection, christoffel
 from .lifts import LiftKind, lift_connection, lift_metric
@@ -96,24 +96,17 @@ def second_fundamental_form(
     target = {
         key: substitute(value, pullback) for key, value in conn2.items()
     }
-    out = {}
-    for gamma in range(n):
-        for i in range(m):
-            for j in range(i, m):
-                terms = [differentiate(jac[gamma][j], xs[i])]
-                for k in range(m):
-                    gam = conn1.get(k, i, j)
-                    if gam != ZERO and jac[gamma][k] != ZERO:
-                        terms.append(-(gam * jac[gamma][k]))
-                for (c, a, b), gam in target.items():
-                    if c != gamma:
-                        continue
-                    pairs = [(a, b)] if a == b else [(a, b), (b, a)]
-                    for aa, bb in pairs:
-                        if jac[aa][i] != ZERO and jac[bb][j] != ZERO:
-                            terms.append(eprod((gam, jac[aa][i], jac[bb][j])))
-                out[(gamma, i, j)] = esum(terms)
-    return out
+    # each stored target coefficient NGamma^c_ab with a < b stands for two slots
+    slots = [(c, ab, gam) for (c, a, b), gam in target.items()
+             for ab in {(a, b), (b, a)}]
+    return {
+        (gamma, i, j): esum(
+            [differentiate(jac[gamma][j], xs[i])]
+            + [(-1, conn1.get(k, i, j), jac[gamma][k]) for k in range(m)]
+            + [(gam, jac[a][i], jac[b][j]) for c, (a, b), gam in slots if c == gamma]
+        )
+        for gamma in range(n) for i in range(m) for j in range(i, m)
+    }
 
 
 def tension_field(
@@ -128,19 +121,11 @@ def tension_field(
     ginv = inverse(g1, cfg=cfg)
     m = g1.dim
     n = g2.dim
-    out = []
-    for gamma in range(n):
-        terms = []
-        for i in range(m):
-            for j in range(m):
-                w = ginv.entry(i, j)
-                if w == ZERO:
-                    continue
-                b = beta[(gamma, i, j) if i <= j else (gamma, j, i)]
-                if b != ZERO:
-                    terms.append(w * b)
-        out.append(esum(terms) if terms else ZERO)
-    return tuple(out)
+    return tuple(
+        esum((ginv.entry(i, j), beta[(gamma, min(i, j), max(i, j))])
+             for i in range(m) for j in range(m))
+        for gamma in range(n)
+    )
 
 
 def harmonicity_residuals(
@@ -179,15 +164,16 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
         [(j, ginv.entry(i, j)) for j in range(n) if ginv.entry(i, j) != ZERO]
         for i in range(n)
     ]
-    residuals = {}
-    for k in range(n):
-        terms = []
-        for i in range(n):
-            for j, w in weights[i]:
-                delta = conn_d.get(k, i, j) - conn_g.get(k, i, j)
-                if delta != ZERO:
-                    terms.append(w * delta)
-        residuals[g.chart.index_name(k)] = esum(terms) if terms else ZERO
+    # each slot's difference is reduced before it is weighted: on dense
+    # lifted pairs, weighting both connections separately makes the final
+    # reduction a far larger gcd
+    residuals = {
+        g.chart.index_name(k): esum(
+            (w, esum((conn_d.get(k, i, j), (-1, conn_g.get(k, i, j)))))
+            for i in range(n) for j, w in weights[i]
+        )
+        for k in range(n)
+    }
     return _judge(g.chart, residuals, notes, cfg)
 
 

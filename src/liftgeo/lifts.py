@@ -13,9 +13,10 @@ coordinates and its connection is always recomputed generically.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from typing import Sequence
 
-from .expr import Coord, Expr, ProbeConfig, Rat, ZERO, eprod, esum, differentiate, simplify
+from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
 from .geometry import Frame, GeometryError, Metric, _derive
 from .connection import Connection, Riemann, christoffel, riemann
 
@@ -45,16 +46,10 @@ def horizontal_lift_vector(components: Sequence[Expr], c: Connection) -> tuple:
     if len(comps) != m:
         raise GeometryError(f"vector field needs {m} components")
     fibers = [Coord(u) for u in c.chart.tangent().coords[m:]]
-    vertical = []
-    for i in range(m):
-        terms = []
-        for a in range(m):
-            for k in range(m):
-                gam = c.get(i, a, k)
-                if gam != ZERO and comps[k] != ZERO:
-                    terms.append(eprod((Rat(-1), fibers[a], gam, comps[k])))
-        vertical.append(esum(terms) if terms else ZERO)
-    return comps + tuple(vertical)
+    return comps + tuple(
+        esum((-1, fibers[a], c.get(i, a, k), comps[k]) for a in range(m) for k in range(m))
+        for i in range(m)
+    )
 
 
 def lift_metric(g: Metric, kind: LiftKind) -> Metric:
@@ -92,7 +87,6 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
         frame = Frame.ADAPTED
     else:
         fibers = [Coord(u) for u in tchart.coords[m:]]
-        coords = g.chart.coords
         for i in range(m):
             for j in range(i, m):
                 v = g.entry(i, j)
@@ -101,13 +95,9 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
                 entries[(i, j + m)] = v
                 if i != j:
                     entries[(j, i + m)] = v
-                terms = [
-                    eprod((fibers[k], differentiate(v, coords[k])))
-                    for k in range(m)
-                ]
-                drift = esum(terms)
-                if drift != ZERO:
-                    entries[(i, j)] = drift
+                entries[(i, j)] = esum(
+                    (u, differentiate(v, x)) for u, x in zip(fibers, g.chart.coords)
+                )
         frame = Frame.NATURAL
     return Metric.from_entries(tchart, entries, frame)
 
@@ -116,19 +106,8 @@ def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection
     m = g.dim
     tchart = g.chart.tangent()
     fibers = [Coord(u) for u in tchart.coords[m:]]
-    half = Rat(1) / 2
-    neg_half = Rat(-1) / 2
+    half = Fraction(1, 2)
     coeffs: dict = {}
-
-    def curvature_sum(k: int, a: int, b: int, scale) -> Expr:
-        # scale * R^k_{h a b} u^h
-        terms = []
-        for h in range(m):
-            r = riem.get(k, h, a, b)
-            if r != ZERO:
-                terms.append(eprod((scale, fibers[h], r)))
-        return esum(terms) if terms else ZERO
-
     for (k, i, j), gam in conn.items():
         pairs = [(i, j)] if i == j else [(i, j), (j, i)]
         for a, b in pairs:
@@ -137,22 +116,15 @@ def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection
     for k in range(m):
         for i in range(m):
             for j in range(m):
-                v = curvature_sum(k, j, i, half)     # Gamma^k_{i jbar} = 1/2 R^k_hji u^h
-                if v != ZERO:
-                    coeffs[(k, i, j + m)] = v
-                v = curvature_sum(k, i, j, half)     # Gamma^k_{ibar j} = 1/2 R^k_hij u^h
-                if v != ZERO:
-                    coeffs[(k, i + m, j)] = v
+                # Gamma^k_{i jbar} = 1/2 R^k_hji u^h
+                coeffs[(k, i, j + m)] = esum(
+                    (half, u, riem.get(k, h, j, i)) for h, u in enumerate(fibers))
+                # Gamma^k_{ibar j} = 1/2 R^k_hij u^h
+                coeffs[(k, i + m, j)] = esum(
+                    (half, u, riem.get(k, h, i, j)) for h, u in enumerate(fibers))
                 # Gamma^kbar_ij = -1/2 R^k_ijh u^h
-                terms = []
-                for h in range(m):
-                    r = riem.get(k, i, j, h)
-                    if r != ZERO:
-                        terms.append(eprod((neg_half, fibers[h], r)))
-                if terms:
-                    v = esum(terms)
-                    if v != ZERO:
-                        coeffs[(k + m, i, j)] = v
+                coeffs[(k + m, i, j)] = esum(
+                    (-half, u, riem.get(k, i, j, h)) for h, u in enumerate(fibers))
     return Connection(tchart, coeffs, Frame.ADAPTED)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from liftgeo import _poly
 from liftgeo.cli import main, render_text
 
 GKS_FILE = """\
@@ -194,6 +195,36 @@ def test_deeply_nested_entry_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_expansion_past_the_term_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    powers = []
+    f_pow = _poly.f_pow
+    monkeypatch.setattr(_poly, "f_pow", lambda *a: powers.append(a) or f_pow(*a))
+    p = tmp_path / "power.metric"
+    p.write_text("chart x y\ng 1 1 = (1+x+y)^400\ng 2 2 = 1\n")
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert "line 2" in err and "terms" in err
+    assert "Traceback" not in err
+    assert powers == []  # refused before any expansion
+
+
+def test_high_power_of_a_univariate_polynomial_is_within_the_budget(tmp_path, capsys):
+    # 201 terms, although a 3-term polynomial to the 100 could have C(102, 2)
+    p = tmp_path / "power.metric"
+    p.write_text("chart t x\ng 1 1 = (1+t+t^2)^100\ng 2 2 = 1\n")
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 0, err
+
+
+def test_verify_expands_a_high_power_of_an_abstract_function(tmp_path, capsys):
+    # the oracle's stand-in for X(t) is a univariate polynomial; its 13th
+    # power stays far inside the budget however many terms the stand-in has
+    p = tmp_path / "power.metric"
+    p.write_text("chart t x\nfunc X(t) abstract\ng 1 1 = 1 + X(t)^13\ng 2 2 = 1\n")
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 0, err
+
+
 def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):
     p = tmp_path / "zero.metric"
     p.write_text("chart x y\ng 1 1 = 1\ng 2 2 = (x-x)^-1\n")
@@ -273,7 +304,11 @@ def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
     ("chart t x\ng 1 1 = exp(1000*t)\ng 2 2 = 1\n", 0),
     # a constant beyond the double range overflows at every probe
     ("chart t x\ng 1 1 = 10^400\ng 2 2 = 1\n", 1),
-], ids=["power", "exp", "constant"])
+    # a product of two finite values overflows to inf where t > 709/801
+    ("chart t x\ng 1 1 = exp(400*t)*exp(401*t)\ng 2 2 = 1\n", 0),
+    # ... and sin(inf) would raise a domain error
+    ("chart t x\ng 1 1 = 2 + sin(exp(400*t)*exp(401*t))\ng 2 2 = 1\n", 0),
+], ids=["power", "exp", "constant", "product", "product-in-sin"])
 def test_overflow_at_a_probe_point_is_a_singular_point(tmp_path, capsys, text, code):
     p = tmp_path / "overflow.metric"
     p.write_text(text)

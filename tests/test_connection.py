@@ -184,3 +184,20 @@ def test_concurrent_first_use_shares_one_value():
             assert results[0] is riemann(christoffel(g))
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_christoffel_assembles_each_component_once(monkeypatch):
+    # a fresh base metric, so no lift, inverse or connection is kept from
+    # another test
+    from liftgeo import _poly, connection
+    from liftgeo.geometry import inverse
+    from liftgeo.gks import abstract_spec, build_gks
+    from liftgeo.lifts import LiftKind, lift_metric
+    lifted = lift_metric(build_gks(abstract_spec()), LiftKind.COMPLETE)
+    ginv = inverse(lifted)
+    calls = []
+    f_make = _poly.f_make
+    monkeypatch.setattr(_poly, "f_make", lambda *a: calls.append(a) or f_make(*a))
+    conn = connection._christoffel(lifted, ginv)
+    assert len(calls) <= 100
+    assert all(v == ZERO for v in metric_compatibility_residual(lifted, conn).values())

@@ -14,7 +14,7 @@ from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc,
     ParseError, Power, ProbeConfig, Product, Rat, SingularPointError, SubstitutionError,
     Sum, SymbolTable, ZERO,
-    differentiate, equivalent, eval_numeric, is_identically_zero, parse,
+    differentiate, equivalent, esum, eval_numeric, is_identically_zero, parse,
     simplify, substitute, to_string,
 )
 
@@ -242,6 +242,15 @@ def test_eval_overflow_is_a_singular_point(text):
         eval_numeric(parse(text, syms()), {"t": 2.0})
 
 
+@pytest.mark.parametrize("text", ["exp(400*t)*exp(401*t)", "exp(709*t) + 10^308"])
+def test_non_finite_sum_or_product_is_a_singular_point(text):
+    e = parse(text, syms())
+    with pytest.raises(SingularPointError, match="overflows"):
+        eval_numeric(e, {"t": 1.0})
+    verdict = is_identically_zero(e)
+    assert verdict.is_nonzero and math.isfinite(verdict.value)
+
+
 def test_eval_missing_binding():
     with pytest.raises(EvalError, match="no binding"):
         eval_numeric(parse("X(t) + r", syms()), {"X": 1.0})
@@ -356,6 +365,26 @@ def test_differentiation_linear_over_sums(raw, v):
     lhs = differentiate(Sum((a, b)), v)
     rhs = simplify(Sum((differentiate(a, v), differentiate(b, v))))
     assert lhs == rhs
+
+
+def _esum_terms():
+    # plain terms and tuples of factors, which may be ZERO or plain numbers
+    factor = st.one_of(_exprs(), st.just(ZERO), st.integers(-3, 3))
+    return st.lists(st.one_of(_exprs(), st.lists(factor, max_size=3).map(tuple)), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_esum_terms())
+def test_esum_of_product_terms_matches_the_tree_property(terms):
+    def node(x):
+        return Rat(Fraction(x)) if isinstance(x, int) else x
+
+    tree = Sum(tuple(
+        Product(tuple(map(node, t))) if isinstance(t, tuple) else t for t in terms
+    ))
+    got = esum(terms)
+    assert got == simplify(tree)
+    assert simplify(got) is got
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ def _requests():
     yield "christoffel-ks", ["christoffel", path]
     yield "curvature-ks", ["curvature", path, "--fiber-contract"]
     yield "lift-complete-ks", ["lift", path, "--kind", "complete", "--connection"]
+    for kind in ("sasaki", "horizontal"):
+        yield f"lift-{kind}-ks", ["lift", path, "--kind", kind, "--connection"]
+    yield "harmonic-complete-ks-ks", ["harmonic", path, path, "--lift", "complete"]
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
     ]
