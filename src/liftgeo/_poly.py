@@ -4,7 +4,9 @@ Engine behind expression normalization: every symbolic expression reduces
 to a quotient of polynomials over "atoms" (opaque indeterminates such as
 coordinates, named constants, abstract-function derivatives and built-in
 function applications). Atoms are hashable, totally ordered keys supplied
-by the caller; coefficients are exact ``fractions.Fraction`` values.
+by the caller. A coefficient is exact: an ``int`` where it is integral,
+otherwise a ``fractions.Fraction``; every division of coefficients goes
+through ``Fraction``, so none is ever a float.
 
 A polynomial is a dict mapping monomials to nonzero coefficients. A
 monomial is a sorted tuple of ``(atom, exponent)`` pairs with strictly
@@ -26,8 +28,8 @@ from typing import Iterable
 Mono = tuple
 Poly = dict
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 M_ONE: Mono = ()
 
 
@@ -39,8 +41,13 @@ def p_one() -> Poly:
     return {M_ONE: _ONE}
 
 
+def _coef(q):
+    """A coefficient as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def p_const(c: Fraction) -> Poly:
-    return {M_ONE: c} if c else {}
+    return {M_ONE: _coef(c)} if c else {}
 
 
 def p_atom(atom) -> Poly:
@@ -112,9 +119,14 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 
 
 def p_scale(a: Poly, c: Fraction) -> Poly:
+    c = _coef(c)
     if not c:
         return {}
-    return {m: v * c for m, v in a.items()}
+    r = {}
+    for m, v in a.items():
+        v *= c
+        r[m] = v.numerator if v.denominator == 1 else v
+    return r
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -208,7 +220,7 @@ def p_exact_div(a: Poly, b: Poly) -> Poly:
     if p_is_zero(a):
         return {}
     if p_is_const(b):
-        return p_scale(a, _ONE / p_const_value(b))
+        return p_scale(a, Fraction(1, p_const_value(b)))
     x = max(p_atoms(b))
     A = _trim(_to_dense(a, x))
     B = _trim(_to_dense(b, x))
@@ -260,7 +272,7 @@ def _to_integer(a: Poly) -> Poly:
     for c in a.values():
         d = c.denominator
         l = l * d // _igcd(l, d)
-    return p_scale(a, Fraction(l)) if l != 1 else dict(a)
+    return p_scale(a, l) if l != 1 else dict(a)
 
 
 def _leading_sign(a: Poly) -> int:
@@ -272,8 +284,7 @@ def p_primitive(a: Poly) -> Poly:
     if p_is_zero(a):
         return {}
     a = _to_integer(a)
-    g = Fraction(_int_content(a) * _leading_sign(a))
-    return p_scale(a, _ONE / g)
+    return p_scale(a, Fraction(1, _int_content(a) * _leading_sign(a)))
 
 
 def _gcd_list(polys: Iterable[Poly]) -> Poly:
@@ -351,7 +362,7 @@ def _gcd_int(a: Poly, b: Poly) -> Poly:
     """gcd of two nonzero integer-coefficient polynomials (primitive result)."""
     if p_is_const(a) or p_is_const(b):
         g = _igcd(_int_content(a), _int_content(b))
-        return p_const(Fraction(g))
+        return p_const(g)
     atoms_a = p_atoms(a)
     atoms_b = p_atoms(b)
     shared = atoms_a & atoms_b
@@ -442,19 +453,18 @@ def f_make(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num = _strip_mono(num, shared)
         den = _strip_mono(den, shared)
     if p_is_const(den):
-        return p_scale(num, _ONE / p_const_value(den)), p_one()
+        return p_scale(num, Fraction(1, p_const_value(den))), p_one()
     if len(den) > 1:
         g = p_gcd(num, den)
         if not p_is_const(g):
             num = p_exact_div(num, g)
             den = p_exact_div(den, g)
             if p_is_const(den):
-                return p_scale(num, _ONE / p_const_value(den)), p_one()
+                return p_scale(num, Fraction(1, p_const_value(den))), p_one()
     # scale so den is integer-primitive with positive leading coefficient
+    top = max(den)
     den_int = _to_integer(den)
-    scale = den_int[max(den_int)] / den[max(den)]
-    g = Fraction(_int_content(den_int) * _leading_sign(den_int))
-    scale = scale / g
+    scale = Fraction(den_int[top], den[top] * _int_content(den_int) * _leading_sign(den_int))
     return p_scale(num, scale), p_scale(den, scale)
 
 

@@ -380,7 +380,8 @@ def _node(fr) -> Expr:
 def esum(terms: Iterable) -> Expr:
     """The canonical sum of terms, built as one node. A term is an expression
     or a number, or a tuple of them that stands for their product; a term
-    with a zero factor adds nothing.
+    with a zero factor adds nothing. A number becomes a constant pair
+    without a Rat node.
 
     Products and the sum run on the factors' stored (num, den) pairs. A
     product is left unreduced. Numerators over the running denominator (1
@@ -389,7 +390,8 @@ def esum(terms: Iterable) -> Expr:
     unless its denominator is 1."""
     num, den = _poly.p_zero(), _poly.p_one()
     for t in terms:
-        pairs = [_frac_of(_as_expr(f)) for f in (t if isinstance(t, tuple) else (t,))]
+        pairs = [(_poly.p_const(f), _poly.p_one()) if type(f) in (int, Fraction)
+                 else _frac_of(_as_expr(f)) for f in (t if isinstance(t, tuple) else (t,))]
         if not all(n for n, _ in pairs):
             continue
         tn, td = pairs[0] if pairs else _poly.F_ONE
@@ -405,7 +407,10 @@ def esum(terms: Iterable) -> Expr:
             num, den = _poly.p_add(_poly.p_mul(num, td), tn), td
         else:
             num, den = _poly.f_add((num, den), (tn, td))
-    return _node((num, den) if _poly.p_is_const(den) else _poly.f_make(num, den))
+    if _poly.p_is_const(den):
+        # scaling by 1 turns an integral Fraction coefficient into an int
+        return _node((_poly.p_scale(num, 1), den))
+    return _node(_poly.f_make(num, den))
 
 
 def eprod(factors: Iterable) -> Expr:
@@ -495,8 +500,9 @@ def _d_nf(fr, v: str, memo: dict):
         return _poly.F_ZERO
     a, b = _d_poly(num, derivs)
     if _poly.p_is_const(den):
-        # den is exactly 1 here, and a polynomial num' is already reduced
-        return (a, b) if _poly.p_is_const(b) else _poly.f_make(a, b)
+        # den is exactly 1 here, and a polynomial num' is already reduced up
+        # to an integral Fraction coefficient, which scaling by 1 makes an int
+        return (_poly.p_scale(a, 1), b) if _poly.p_is_const(b) else _poly.f_make(a, b)
     c, d = _d_poly(den, derivs)
     if _poly.p_is_zero(c):
         return _poly.f_make(a, _poly.p_mul(b, den))

@@ -1,11 +1,13 @@
 """End-to-end command-line interface behavior."""
 
 import json
+import os
+import sys
 
 import pytest
 
 from liftgeo import _poly
-from liftgeo.cli import main, render_text
+from liftgeo.cli import EXIT_CLOSED_PIPE, main, render_text
 
 GKS_FILE = """\
 chart t r theta phi
@@ -223,6 +225,51 @@ def test_verify_expands_a_high_power_of_an_abstract_function(tmp_path, capsys):
     p.write_text("chart t x\nfunc X(t) abstract\ng 1 1 = 1 + X(t)^13\ng 2 2 = 1\n")
     code, _, err = run(capsys, "verify", str(p))
     assert code == 0, err
+
+
+def test_verify_names_a_component_past_the_stand_in_budget(tmp_path, capsys):
+    # the file's power 600 is kept as an atom; the oracle's 5-term stand-in
+    # for X(t) to the 599th (in the derivative) would pass the term budget
+    p = tmp_path / "power.metric"
+    p.write_text("chart t x\nfunc X(t) abstract\ng 1 1 = 1 + X(t)^600\ng 2 2 = 1\n")
+    code, out, err = run(capsys, "verify", str(p), "--seed", "5", "--format", "json")
+    assert code == 1, err
+    assert err == ""
+    (fd,) = [c for c in json.loads(out)["results"]["checks"]
+             if c["name"] == "finite-difference derivative checks"]
+    assert not fd["passed"]
+    assert "Gamma^1_1,1 (stand-in past the term budget)" in fd["detail"]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_exits_without_a_traceback(files, capsys, monkeypatch, tmp_path, fmt):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["christoffel", files["gks"], "--format", fmt])
+        # the descriptor now points at os.devnull, so the flush at exit is quiet
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == EXIT_CLOSED_PIPE == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):

@@ -42,6 +42,8 @@ def _requests():
         yield f"harmonic-{kind}-gks-gks", [
             "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", kind,
         ]
+    # every bundled reference scenario, the benchmark's paper-tables among them
+    yield "paper-check-all", ["paper-check", "--scenario", "all", "--seed", "3"]
 
 
 REQUESTS = dict(_requests())
