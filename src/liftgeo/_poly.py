@@ -476,11 +476,6 @@ def f_add(a, b):
     return f_make(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
 
 
-def f_neg(a):
-    n, d = a
-    return p_neg(n), d
-
-
 def f_mul(a, b):
     n1, d1 = a
     n2, d2 = b

@@ -39,19 +39,15 @@ EXIT_CLOSED_PIPE = 141
 FORMATS = ("text", "json")
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(name, fallback)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=FORMATS,
-        default=_env_default("LIFTGEO_FORMAT", "text"),
+        default=os.environ.get("LIFTGEO_FORMAT", "text"),
         help="report format (env LIFTGEO_FORMAT)",
     )
     common.add_argument(
-        "--seed", type=int, default=_env_default("LIFTGEO_SEED", "0"),
+        "--seed", type=int, default=os.environ.get("LIFTGEO_SEED", "0"),
         help="probe RNG seed (env LIFTGEO_SEED)",
     )
     common.add_argument("--probes", type=int, default=ex.DEFAULT_PROBE_COUNT,
@@ -242,17 +238,11 @@ def _cmd_lift(args, cfg) -> tuple:
     doc = load_metric_document(args.metric_file)
     kind = LiftKind(args.kind)
     lifted = lift_metric(doc.metric, kind)
-    tchart = lifted.chart
-    entries = {}
-    for i in range(tchart.dim):
-        for j in range(i, tchart.dim):
-            v = lifted.entry(i, j)
-            if v != ex.ZERO:
-                entries[f"g_{tchart.index_name(i)},{tchart.index_name(j)}"] = to_string(v)
+    name = lifted.chart.index_name
     results = {
         "kind": kind.value,
         "frame": lifted.frame.value,
-        "metric": entries,
+        "metric": _expr_map((f"g_{name(i)},{name(j)}", v) for (i, j), v in lifted.items()),
     }
     if args.connection:
         conn = lift_connection(doc.metric, kind, cfg=cfg)

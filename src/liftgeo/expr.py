@@ -1,14 +1,23 @@
 """Symbolic expression engine.
 
-Immutable expression trees over coordinates, named constants, exact
-rationals, built-in unary functions and abstract single-variable functions
-with formal derivatives (X, X', X'', ...). Every public operation returns
-the canonical rational-function normal form in which each coordinate, each
-named constant, each (abstract function, derivative order) pair and each
-built-in function application is treated as an independent opaque
-indeterminate. No trigonometric or hyperbolic identities are applied;
-identity checking beyond literal cancellation is the job of the numeric
-probe in :func:`is_identically_zero`.
+A value is a :class:`Normal`: the canonical rational-function normal form,
+a reduced (num, den) pair of polynomials over opaque atoms. Each
+coordinate, each named constant, each (abstract function, derivative
+order) pair and each built-in function application is an independent
+indeterminate. No trigonometric or hyperbolic identities are applied.
+Equal values have equal pairs, so equality is exact and structural.
+
+The node classes (Rat, Coord, Const, FuncApp, KnownFunc, Sum, Product,
+Power) are input syntax only: the parser's tree before simplify, trees
+built by hand, and the derivative rules of the built-in functions.
+:func:`simplify` turns a tree into its Normal through ``_frac_of``, the
+one walker over trees, and every public operation returns a Normal.
+Printing, numeric evaluation and substitution all read the pair, in the
+term order of ``_layout``.
+
+Identity checking beyond literal cancellation is random-point identity
+probing: :func:`is_identically_zero` evaluates a value at seeded points of
+a safe domain and reports "zero", "nonzero" or "unknown".
 
 The concrete surface syntax (also produced by :func:`to_string`):
 
@@ -32,7 +41,7 @@ from . import _poly
 from ._poly import Poly  # noqa: F401
 
 __all__ = [
-    "Expr", "Rat", "Coord", "Const", "FuncApp", "KnownFunc", "Sum", "Product",
+    "Expr", "Normal", "Rat", "Coord", "Const", "FuncApp", "KnownFunc", "Sum", "Product",
     "Power", "FuncSymbol", "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
     "SubstitutionError", "ResourceLimitError",
@@ -88,42 +97,61 @@ class ResourceLimitError(ExprError):
 # node types
 
 class Expr:
-    """Base class; instances are immutable and hashable."""
+    """Base class of values and input syntax; instances are immutable and
+    hashable, and every operator returns a Normal."""
 
     __slots__ = ()
-    # the (num, den) normal form, stored by simplify on the node it returns
-    _nf = None
 
     def __add__(self, other):
-        return simplify(Sum((self, _as_expr(other))))
+        return esum((self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return simplify(Sum((self, Product((Rat(-1), _as_expr(other))))))
+        return esum((self, (-1, other)))
 
     def __rsub__(self, other):
-        return simplify(Sum((_as_expr(other), Product((Rat(-1), self)))))
+        return esum((other, (-1, self)))
 
     def __mul__(self, other):
-        return simplify(Product((self, _as_expr(other))))
+        return eprod((self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return simplify(Product((self, Power(_as_expr(other), -1))))
+        return eprod((self, Power(_as_expr(other), -1)))
 
     def __rtruediv__(self, other):
-        return simplify(Product((_as_expr(other), Power(self, -1))))
+        return eprod((other, Power(self, -1)))
 
     def __pow__(self, n: int):
         return simplify(Power(self, n))
 
     def __neg__(self):
-        return simplify(Product((Rat(-1), self)))
+        return eprod((-1, self))
 
     def __str__(self):
         return to_string(self)
+
+
+class Normal(Expr):
+    """A canonical value: the reduced (num, den) pair of polynomials over the
+    opaque atoms, as _poly.f_make leaves it. Two values are equal exactly
+    when their pairs are; a Normal never equals an input-syntax tree."""
+
+    __slots__ = ("num", "den", "__weakref__")
+
+    def __init__(self, fr):
+        self.num, self.den = fr
+
+    def __eq__(self, other):
+        return isinstance(other, Normal) and self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+
+    def __repr__(self):
+        return f"Normal({to_string(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -208,8 +236,8 @@ class Power(Expr):
             raise ExprError("exponents are restricted to integers")
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
+ZERO = Normal(_poly.F_ZERO)
+ONE = Normal(_poly.F_ONE)
 
 
 def _as_expr(x) -> Expr:
@@ -242,8 +270,9 @@ class _AtomKey(tuple):
 
 
 def _frac_of(e: Expr):
-    if e._nf is not None:
-        return e._nf
+    """The reduced (num, den) pair of a value or of an input-syntax tree."""
+    if isinstance(e, Normal):
+        return e.num, e.den
     if isinstance(e, Rat):
         return _poly.p_const(e.value), _poly.p_one()
     if isinstance(e, FuncApp):
@@ -299,86 +328,53 @@ def _mono_sort_key(mono) -> tuple:
     return tuple((atom, -e) for atom, e in mono)
 
 
-def _term_expr(mono, coef: Fraction) -> Expr:
-    factors = []
-    if coef != 1 or not mono:
-        factors.append(Rat(coef))
-    for key, e in mono:
-        atom = key.atom
-        factors.append(atom if e == 1 else Power(atom, e))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
+def _layout(e: Expr) -> tuple:
+    """(terms, rest): the normal form of e as the sum of terms over rest, the
+    multi-term part of its denominator (None when that is a monomial).
+
+    A term is (coefficient, monomial); the denominator's monomial content is
+    folded into the numerator's monomials as negative exponents. Each term
+    list is in _mono_sort_key order. Printing, evaluation and substitution
+    all visit a value in this order.
+    """
+    num, den = _frac_of(e)
+    if len(den) == 1:
+        # a canonical monomial denominator has coefficient 1
+        (shared,) = den
+        rest = None
+    else:
+        shared = tuple(sorted(_poly._mono_content(den).items()))
+        rest = _terms(_poly._strip_mono(den, shared) if shared else den, ())
+    return _terms(num, shared), rest
 
 
-def _poly_expr(p: Poly, den_mono=None) -> Expr:
-    """Rebuild a polynomial (optionally divided by a monomial) as an Expr."""
+def _terms(p: Poly, shared) -> list:
     terms = []
     for mono, coef in p.items():
-        if den_mono:
+        if shared:
             d = dict(mono)
-            for atom, e in den_mono:
-                n = d.get(atom, 0) - e
-                if n:
-                    d[atom] = n
+            for atom, e in shared:
+                k = d.get(atom, 0) - e
+                if k:
+                    d[atom] = k
                 else:
                     d.pop(atom, None)
             mono = tuple(sorted(d.items()))
-        terms.append((mono, coef))
-    terms.sort(key=lambda t: _mono_sort_key(t[0]))
-    exprs = [_term_expr(m, c) for m, c in terms]
-    if not exprs:
-        return ZERO
-    if len(exprs) == 1:
-        return exprs[0]
-    return Sum(tuple(exprs))
+        terms.append((coef, mono))
+    terms.sort(key=lambda t: _mono_sort_key(t[1]))
+    return terms
 
 
-def _expr_of_frac(fr) -> Expr:
-    num, den = fr
-    if _poly.p_is_zero(num):
-        return ZERO
-    if _poly.p_is_const(den):
-        # canonical den for polynomials is exactly 1
-        return _poly_expr(num)
-    if len(den) == 1:
-        ((mono, coef),) = den.items()
-        scaled = _poly.p_scale(num, Fraction(1) / coef) if coef != 1 else num
-        return _poly_expr(scaled, den_mono=mono)
-    # general denominator: split off its monomial content, keep the rest
-    content = tuple(sorted(_poly._mono_content(den).items()))
-    rest = _poly._strip_mono(den, content) if content else den
-    rest_expr = _poly_expr(rest)
-    num_expr = _poly_expr(num, den_mono=content if content else None)
-    factors = []
-    if isinstance(num_expr, Product):
-        factors.extend(num_expr.factors)
-    elif num_expr != ONE:
-        factors.append(num_expr)
-    factors.append(Power(rest_expr, -1))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def simplify(e: Expr) -> Expr:
-    """Canonical rational-function normal form over the opaque atoms. The
-    result keeps its (num, den) form: simplifying it again returns it as is,
-    and expressions built from it read that form instead of its tree."""
-    if e._nf is not None:
+def simplify(e: Expr) -> Normal:
+    """The canonical value of e: its rational-function normal form over the
+    opaque atoms. A Normal is returned as is."""
+    if isinstance(e, Normal):
         return e
-    return _node(_frac_of(e))
+    return Normal(_frac_of(e))
 
 
-def _node(fr) -> Expr:
-    """The canonical node of a reduced (num, den) pair, carrying that pair."""
-    s = _expr_of_frac(fr)
-    object.__setattr__(s, "_nf", fr)
-    return s
-
-
-def esum(terms: Iterable) -> Expr:
-    """The canonical sum of terms, built as one node. A term is an expression
+def esum(terms: Iterable) -> Normal:
+    """The canonical sum of terms, built as one value. A term is an expression
     or a number, or a tuple of them that stands for their product; a term
     with a zero factor adds nothing. A number becomes a constant pair
     without a Rat node.
@@ -409,17 +405,17 @@ def esum(terms: Iterable) -> Expr:
             num, den = _poly.f_add((num, den), (tn, td))
     if _poly.p_is_const(den):
         # scaling by 1 turns an integral Fraction coefficient into an int
-        return _node((_poly.p_scale(num, 1), den))
-    return _node(_poly.f_make(num, den))
+        return Normal((_poly.p_scale(num, 1), den))
+    return Normal(_poly.f_make(num, den))
 
 
-def eprod(factors: Iterable) -> Expr:
+def eprod(factors: Iterable) -> Normal:
     return esum((tuple(factors),))
 
 
 def equivalent(a: Expr, b: Expr) -> bool:
     """Structural equality after canonicalization (exact, no numerics)."""
-    return simplify(Sum((a, Product((Rat(-1), b))))) == ZERO
+    return esum((a, (-1, b))) == ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +509,23 @@ def _d_nf(fr, v: str, memo: dict):
     )
 
 
-def differentiate(e: Expr, v: Union[str, Coord]) -> Expr:
-    """Partial derivative in v, computed on the stored normal form of e: the
+def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
+    """Partial derivative in v, computed on the normal form of e: the
     quotient rule on (num, den), and the chain rule through each polynomial
     atom (a coordinate, an abstract-function jet or a built-in function of
-    its argument). The result keeps its normal form, as simplify's does."""
+    its argument)."""
     name = v.name if isinstance(v, Coord) else v
-    return _node(_d_nf(simplify(e)._nf, name, {}))
+    return Normal(_d_nf(_frac_of(e), name, {}))
 
 
 # ---------------------------------------------------------------------------
 # substitution
 
-def _apply_body(body: Expr, var: str, order: int, arg: Expr) -> Expr:
+def _apply_body(body: Expr, var: str, order: int, arg: Normal) -> Expr:
     """The order-th derivative of a function body in var, evaluated at arg."""
     for _ in range(order):
         body = differentiate(body, var)
-    if arg != Coord(var):
+    if arg != simplify(Coord(var)):
         body = substitute(body, {var: arg})
     return body
 
@@ -537,7 +533,7 @@ def _apply_body(body: Expr, var: str, order: int, arg: Expr) -> Expr:
 def _atoms(e: Expr):
     """Every Coord, Const, FuncApp and KnownFunc atom of e's normal form,
     each application before the atoms of its argument."""
-    num, den = simplify(e)._nf
+    num, den = _frac_of(e)
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
         yield key.atom
         if isinstance(key.atom, (FuncApp, KnownFunc)):
@@ -548,18 +544,22 @@ def _free_coords(e: Expr) -> set:
     return {a.name for a in _atoms(e) if isinstance(a, Coord)}
 
 
-def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous substitution, then canonical simplification.
+def substitute(e: Expr, bindings: Mapping) -> Normal:
+    """Simultaneous substitution into the normal form of e.
 
     Keys may be FuncSymbol instances (the replacement expression is written
     in the symbol's own variable, and its normal form may name no other
     coordinate; all derivative orders are rewritten through it), Coord/Const
     instances, or plain coordinate/constant names.
+
+    Each atom of the (num, den) pair is mapped once, and the terms of
+    _layout are summed again by esum; each power of a replacement goes
+    through _frac_of, which checks MAX_EXPANSION_TERMS before it expands.
     """
     func_b: dict = {}
     name_b: dict = {}
     for key, value in bindings.items():
-        value = _as_expr(value)
+        value = simplify(_as_expr(value))
         if isinstance(key, FuncSymbol):
             extra = _free_coords(value) - {key.var}
             if extra:
@@ -575,26 +575,29 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         else:
             raise SubstitutionError(f"unsupported binding key {key!r}")
 
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, (Coord, Const)):
-            return name_b.get(x.name, x)
-        if isinstance(x, FuncApp):
-            arg = walk(x.arg)
-            repl = func_b.get((x.func.name, x.func.var))
-            if repl is None:
-                return FuncApp(x.func, x.order, arg)
-            return _apply_body(repl, x.func.var, x.order, arg)
-        if isinstance(x, KnownFunc):
-            return KnownFunc(x.kind, walk(x.arg))
-        if isinstance(x, Sum):
-            return Sum(tuple(walk(t) for t in x.terms))
-        if isinstance(x, Product):
-            return Product(tuple(walk(f) for f in x.factors))
-        if isinstance(x, Power):
-            return Power(walk(x.base), x.exponent)
-        return x
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, (Coord, Const)):
+            return name_b.get(a.name, a)
+        arg = replaced(a.arg)
+        if isinstance(a, KnownFunc):
+            return KnownFunc(a.kind, arg)
+        repl = func_b.get((a.func.name, a.func.var))
+        if repl is None:
+            return FuncApp(a.func, a.order, arg)
+        return _apply_body(repl, a.func.var, a.order, arg)
 
-    return simplify(walk(e))
+    def replaced(n: Normal) -> Normal:
+        mapped = {key: simplify(atom(key.atom))
+                  for key in _poly.p_atoms(n.num) | _poly.p_atoms(n.den)}
+
+        def total(terms):
+            return esum((coef,) + tuple(mapped[k] if e == 1 else Power(mapped[k], e)
+                                        for k, e in mono) for coef, mono in terms)
+
+        terms, rest = _layout(n)
+        return total(terms) if rest is None else eprod((total(terms), Power(total(rest), -1)))
+
+    return replaced(simplify(e))
 
 
 # ---------------------------------------------------------------------------
@@ -618,60 +621,95 @@ def _finite(x: float) -> float:
     return x
 
 
-def _eval(e: Expr, env: Mapping, epsilon: float) -> float:
-    if isinstance(e, Rat):
-        try:
-            return float(e.value)
-        except OverflowError:
-            raise SingularPointError(_OVERFLOW) from None
-    if isinstance(e, (Coord, Const)):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"no binding for {e.name!r}") from None
-    if isinstance(e, FuncApp):
-        try:
-            return env[(e.func.name, e.order)]
-        except KeyError:
-            raise EvalError(
-                f"no binding for {e.func.name}{chr(39) * e.order}"
-            ) from None
-    if isinstance(e, KnownFunc):
-        a = _eval(e.arg, env, epsilon)
-        if e.kind == "log":
-            if a <= epsilon:
-                raise SingularPointError("log argument not positive")
-            return math.log(a)
-        if e.kind == "sqrt":
-            if a < 0:
-                raise SingularPointError("sqrt of a negative value")
-            return math.sqrt(a)
-        try:
-            return _MATH[e.kind](a)
-        except OverflowError:
-            raise SingularPointError(_OVERFLOW) from None
-    if isinstance(e, Sum):
-        return _finite(sum(_eval(t, env, epsilon) for t in e.terms))
-    if isinstance(e, Product):
-        r = 1.0
-        for f in e.factors:
-            r *= _eval(f, env, epsilon)
-        return _finite(r)
-    if isinstance(e, Power):
-        b = _eval(e.base, env, epsilon)
-        if e.exponent < 0 and abs(b) <= epsilon:
-            raise SingularPointError(
-                f"denominator magnitude {abs(b):.3e} below epsilon"
-            )
-        try:
-            return b ** e.exponent
-        except OverflowError:
-            raise SingularPointError(_OVERFLOW) from None
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+def _float(c) -> float:
+    # a coefficient past a double is inf, so its term is a singular point
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf
+
+
+def _plan(e: Expr) -> tuple:
+    """The normal form of e laid out for _value_at, once per value: the
+    (terms, rest) of _layout with each coefficient as a float and each
+    factor as (env key, exponent, None), or (kind, exponent, plan of the
+    argument) for a built-in function."""
+    terms, rest = _layout(e)
+    return _plan_terms(terms), None if rest is None else _plan_terms(rest)
+
+
+def _plan_terms(terms) -> tuple:
+    return tuple(
+        (_float(coef), tuple(
+            (k.atom.kind, e, _plan(k.atom.arg)) if isinstance(k.atom, KnownFunc)
+            else (_probe_symbol(k.atom)[0], e, None)
+            for k, e in mono
+        ))
+        for coef, mono in terms
+    )
+
+
+def _power(b: float, e: int, epsilon: float) -> float:
+    if e < 0 and abs(b) <= epsilon:
+        raise SingularPointError(f"denominator magnitude {abs(b):.3e} below epsilon")
+    try:
+        return b ** e
+    except OverflowError:
+        raise SingularPointError(_OVERFLOW) from None
+
+
+def _builtin(kind: str, a: float, epsilon: float) -> float:
+    if kind == "log":
+        if a <= epsilon:
+            raise SingularPointError("log argument not positive")
+        return math.log(a)
+    if kind == "sqrt":
+        if a < 0:
+            raise SingularPointError("sqrt of a negative value")
+        return math.sqrt(a)
+    try:
+        return _MATH[kind](a)
+    except OverflowError:
+        raise SingularPointError(_OVERFLOW) from None
+
+
+def _sum(terms: tuple, env: Mapping, epsilon: float) -> float:
+    values = []
+    for coef, factors in terms:
+        r = _finite(coef)
+        for key, e, arg in factors:
+            if arg is not None:
+                x = _builtin(key, _value_at(arg, env, epsilon), epsilon)
+            else:
+                try:
+                    x = env[key]
+                except KeyError:
+                    name = key[0] + "'" * key[1] if isinstance(key, tuple) else repr(key)
+                    raise EvalError(f"no binding for {name}") from None
+            r *= x if e == 1 else _power(x, e, epsilon)
+        values.append(_finite(r))
+    return values[0] if len(values) == 1 else _finite(sum(values, 0.0))
+
+
+def _value_at(plan: tuple, env: Mapping, epsilon: float) -> float:
+    """The value of a _plan at env: the terms multiplied out in order, the
+    coefficient first, summed, and then times rest ** -1. A denominator
+    within epsilon of 0, or a value past a double, is a SingularPointError."""
+    terms, rest = plan
+    value = _sum(terms, env, epsilon)
+    if rest is None:
+        return value
+    return _finite(value * _power(_sum(rest, env, epsilon), -1, epsilon))
 
 
 def eval_numeric(e: Expr, point: Mapping, epsilon: float = DEFAULT_EPSILON) -> float:
-    """IEEE double evaluation at a point.
+    """IEEE double evaluation of the normal form of e at a point.
+
+    The (num, den) pair is laid out once (_plan) and evaluated term by term
+    in _layout's order, so a value comes out bit for bit the same whichever
+    caller evaluates it. A denominator within epsilon of 0, a log or sqrt
+    outside its domain, or a value that overflows a double raises
+    SingularPointError.
 
     Point keys: coordinate/constant names, function names with primes
     ("X", "X'", "X''"), or (name, order) tuples for abstract-function jets.
@@ -690,7 +728,7 @@ def eval_numeric(e: Expr, point: Mapping, epsilon: float = DEFAULT_EPSILON) -> f
             else:
                 env[key] = value
                 env[(key, 0)] = value
-    return _eval(e, env, epsilon)
+    return _value_at(_plan(e), env, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -814,15 +852,16 @@ def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVer
     for a numeric witness; if none exceeds cfg.zero_tol the verdict is
     "unknown", never silently zero. A point where a denominator falls below
     DEFAULT_EPSILON or a value overflows a double is singular and is drawn
-    again.
+    again. The value is laid out for evaluation once, before the probes.
     """
     s = simplify(e)
     if s == ZERO:
         return ZeroVerdict("zero")
+    plan = _plan(s)
     for candidates in _probe_points(_probe_symbols(s), cfg):
         for env, labeled in candidates:
             try:
-                value = _eval(s, env, DEFAULT_EPSILON)
+                value = _value_at(plan, env, DEFAULT_EPSILON)
             except SingularPointError:
                 continue
             if abs(value) > cfg.zero_tol:
@@ -1064,8 +1103,8 @@ class _Parser:
         return Const(name)
 
 
-def parse(text: str, symbols: Optional[SymbolTable] = None) -> Expr:
-    """Parse surface syntax into the canonical normal form."""
+def parse(text: str, symbols: Optional[SymbolTable] = None) -> Normal:
+    """Parse surface syntax into its canonical value."""
     if symbols is None:
         symbols = SymbolTable.default_gks()
     return simplify(_Parser(text, symbols).parse())
@@ -1078,73 +1117,44 @@ def _fmt_rat(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _atom_str(e: Expr) -> str:
-    if isinstance(e, Coord) or isinstance(e, Const):
-        return e.name
-    if isinstance(e, FuncApp):
-        return f"{e.func.name}{chr(39) * e.order}({to_string(e.arg)})"
-    if isinstance(e, KnownFunc):
-        return f"{e.kind}({to_string(e.arg)})"
-    raise ExprError(f"not an atom: {e!r}")
+def _atom_str(key: _AtomKey) -> str:
+    kind, name, _var, order, arg = key
+    if kind == 2:
+        return f"{name}{chr(39) * order}({arg})"
+    return f"{name}({arg})" if kind == 3 else name
 
 
-def _base_str(e: Expr) -> str:
-    if isinstance(e, (Sum, Product)):
-        return f"({to_string(e)})"
-    if isinstance(e, Rat):
-        return f"({_fmt_rat(e.value)})"
-    return _atom_str(e)
-
-
-def _product_parts(e: Expr):
-    """Split into (coefficient, [(base_str, exp)]) for product-like nodes."""
-    coef = Fraction(1)
-    parts = []
-    factors = e.factors if isinstance(e, Product) else (e,)
-    for f in factors:
-        if isinstance(f, Rat):
-            coef *= f.value
-        elif isinstance(f, Power):
-            parts.append((_base_str(f.base), f.exponent))
-        else:
-            parts.append((_base_str(f), 1))
-    return coef, parts
-
-
-def _unsigned_term(coef: Fraction, parts) -> str:
-    pos = [(b, e) for b, e in parts if e > 0]
-    neg = [(b, -e) for b, e in parts if e < 0]
-    pieces = []
-    if not pos or abs(coef) != 1:
-        pieces.append(_fmt_rat(abs(coef)))
+def _term_text(coef, mono, den_text: Optional[str] = None) -> str:
+    """A term without its sign: |coef| (left out before a factor when it is
+    1), the factors with positive exponents joined by *, then each factor
+    with a negative exponent, and den_text, after a /."""
+    pos = [(_atom_str(k), e) for k, e in mono if e > 0]
+    neg = [(_atom_str(k), -e) for k, e in mono if e < 0]
+    pieces = [] if pos and abs(coef) == 1 else [_fmt_rat(abs(coef))]
     pieces.extend(b if e == 1 else f"{b}^{e}" for b, e in pos)
     out = "*".join(pieces)
     for b, e in neg:
         out += "/" + (b if e == 1 else f"{b}^{e}")
-    return out
+    return out + (f"/{den_text}" if den_text else "")
 
 
-def _term_str(e: Expr):
-    """Render a sum term; returns (is_negative, unsigned_text)."""
-    if isinstance(e, (Product, Power, Rat)):
-        coef, parts = _product_parts(e)
-        return coef < 0, _unsigned_term(coef, parts)
-    return False, _atom_str(e)
+def _sum_text(terms) -> str:
+    out = ""
+    for i, (coef, mono) in enumerate(terms):
+        sign = (" - " if coef < 0 else " + ") if i else ("-" if coef < 0 else "")
+        out += sign + _term_text(coef, mono)
+    return out or "0"
 
 
 def to_string(e: Expr) -> str:
-    """Render in the surface syntax; parsing the output reproduces e
-    whenever e is in canonical normal form."""
-    if isinstance(e, Sum):
-        out = []
-        for i, t in enumerate(e.terms):
-            neg, body = _term_str(t)
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
-    if isinstance(e, (Product, Power, Rat)):
-        neg, body = _term_str(e)
-        return ("-" if neg else "") + body
-    return _atom_str(e)
+    """The normal form of e in the surface syntax; parsing the output
+    reproduces it. The (num, den) pair is rendered in _layout's order: a
+    multi-term denominator rest appears once, as (num)/(rest)."""
+    terms, rest = _layout(e)
+    if rest is None:
+        return _sum_text(terms)
+    den_text = f"({_sum_text(rest)})"
+    if len(terms) == 1:
+        ((coef, mono),) = terms
+        return ("-" if coef < 0 else "") + _term_text(coef, mono, den_text)
+    return f"({_sum_text(terms)})/{den_text}"

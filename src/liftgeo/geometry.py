@@ -105,6 +105,12 @@ class Metric:
     def entry(self, i: int, j: int) -> Expr:
         return self.components[i][j]
 
+    def items(self):
+        """The nonzero entries ((i, j), value) with i <= j, sorted."""
+        n = self.dim
+        return [((i, j), self.components[i][j]) for i in range(n) for j in range(i, n)
+                if self.components[i][j] != ZERO]
+
 
 def _derive(owner, key, build):
     """The value `key` derived from the immutable `owner`, built on first use.

@@ -64,13 +64,13 @@ class GksSpec:
 
     @property
     def variant(self) -> str:
-        body = self.f.body
-        if body == KnownFunc("sin", Coord("theta")):
-            return VARIANT_KANTOWSKI_SACHS
-        if body == KnownFunc("sinh", Coord("theta")):
-            return VARIANT_BIANCHI_III
-        if body == Coord("theta"):
-            return VARIANT_BIANCHI_I
+        if self.f.is_abstract:
+            return VARIANT_CUSTOM
+        body = simplify(self.f.body)
+        for variant, kind in ((VARIANT_KANTOWSKI_SACHS, "sin"), (VARIANT_BIANCHI_III, "sinh"),
+                              (VARIANT_BIANCHI_I, "identity")):
+            if body == simplify(_f_body(kind)):
+                return variant
         return VARIANT_CUSTOM
 
 
@@ -476,11 +476,7 @@ def scenario_gamma_matrices(cfg: ProbeConfig) -> ScenarioResult:
 def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
     g = build_gks(abstract_spec())
     ginv = inverse(g, cfg=cfg)
-    computed = {}
-    for i in range(4):
-        for j in range(i, 4):
-            if ginv.entry(i, j) != ZERO:
-                computed[f"ginv_{i + 1},{j + 1}"] = ginv.entry(i, j)
+    computed = {f"ginv_{i + 1},{j + 1}": v for (i, j), v in ginv.items()}
     expected = {f"ginv_{i + 1},{j + 1}": _ref(s) for (i, j), s in INVERSE_REF.items()}
     computed, expected = _union_fill(computed, expected)
     entries = _recon_entries(reconcile_with_paper(computed, expected, cfg))
@@ -488,11 +484,7 @@ def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
     lifted = lift_metric(g, LiftKind.COMPLETE)
     linv = inverse(lifted, cfg=cfg)
     name = lifted.chart.index_name
-    computed = {}
-    for i in range(8):
-        for j in range(i, 8):
-            if linv.entry(i, j) != ZERO:
-                computed[f"cginv_{name(i)},{name(j)}"] = linv.entry(i, j)
+    computed = {f"cginv_{name(i)},{name(j)}": v for (i, j), v in linv.items()}
     expected = {
         f"cginv_{name(i)},{name(j)}": _ref(s)
         for (i, j), s in COMPLETE_INVERSE_REF.items()
@@ -618,12 +610,9 @@ def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
     tchart = lifted.chart
 
     # metric blocks against the printed matrix
-    computed = {}
-    for i in range(8):
-        for j in range(i, 8):
-            v = lifted.entry(i, j)
-            if v != ZERO:
-                computed[f"cg_{tchart.index_name(i)},{tchart.index_name(j)}"] = v
+    computed = {
+        f"cg_{tchart.index_name(i)},{tchart.index_name(j)}": v for (i, j), v in lifted.items()
+    }
     expected = {
         f"cg_{tchart.index_name(i)},{tchart.index_name(j)}": _ref(s)
         for (i, j), s in COMPLETE_METRIC_REF.items()

@@ -71,12 +71,9 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     tchart = g.chart.tangent()
     entries: dict = {}
     if kind is LiftKind.SASAKI:
-        for i in range(m):
-            for j in range(i, m):
-                v = g.entry(i, j)
-                if v != ZERO:
-                    entries[(i, j)] = v
-                    entries[(i + m, j + m)] = v
+        for (i, j), v in g.items():
+            entries[(i, j)] = v
+            entries[(i + m, j + m)] = v
         frame = Frame.ADAPTED
     elif kind is LiftKind.HORIZONTAL:
         for i in range(m):
@@ -87,17 +84,13 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
         frame = Frame.ADAPTED
     else:
         fibers = [Coord(u) for u in tchart.coords[m:]]
-        for i in range(m):
-            for j in range(i, m):
-                v = g.entry(i, j)
-                if v == ZERO:
-                    continue
-                entries[(i, j + m)] = v
-                if i != j:
-                    entries[(j, i + m)] = v
-                entries[(i, j)] = esum(
-                    (u, differentiate(v, x)) for u, x in zip(fibers, g.chart.coords)
-                )
+        for (i, j), v in g.items():
+            entries[(i, j + m)] = v
+            if i != j:
+                entries[(j, i + m)] = v
+            entries[(i, j)] = esum(
+                (u, differentiate(v, x)) for u, x in zip(fibers, g.chart.coords)
+            )
         frame = Frame.NATURAL
     return Metric.from_entries(tchart, entries, frame)
 

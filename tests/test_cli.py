@@ -115,6 +115,16 @@ def test_verify(files, capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_verify_passes_on_a_steep_entry(tmp_path, capsys):
+    # a plain central difference is off by 1.07e-05 here (truncation error
+    # on exp(801*t)); the Richardson step is within fd_rel_tol
+    p = tmp_path / "steep.metric"
+    p.write_text("chart t x\ng 1 1 = exp(400*t)*exp(401*t)*(2+sin(x))\ng 2 2 = 1\n")
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 0, out
+    assert out.count("[PASS]") == 4
+
+
 def test_verify_degenerate_metric_fails(tmp_path, capsys):
     p = tmp_path / "bad.metric"
     p.write_text("chart t r\ng 1 1 = 1\n")

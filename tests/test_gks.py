@@ -56,6 +56,15 @@ def test_variant_detection():
     assert abstract_spec().variant == "custom"
 
 
+def test_variant_of_a_parsed_body():
+    # a body read from a metric file is a value, compared by its normal form
+    parsed = GksSpec(
+        FuncSymbol("X", "t"), FuncSymbol("Y", "t"),
+        FuncSymbol("f", "theta", ref("sin(theta)")),
+    )
+    assert parsed.variant == "kantowski-sachs"
+
+
 def test_spec_coordinate_conventions_enforced():
     with pytest.raises(ValueError):
         GksSpec(FuncSymbol("X", "theta"), FuncSymbol("Y", "t"), FuncSymbol("f", "theta"))

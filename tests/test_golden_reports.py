@@ -42,6 +42,10 @@ def _requests():
         yield f"harmonic-{kind}-gks-gks", [
             "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", kind,
         ]
+    # not-harmonic pairs: the witness is evaluated over a multi-term
+    # denominator (ks against gks) and over monomial denominators (g1, ghat1)
+    yield "harmonic-ks-gks", ["harmonic", path, "metrics/gks.metric"]
+    yield "harmonic-g1-ghat1", ["harmonic", "metrics/g1.metric", "metrics/ghat1.metric"]
     # every bundled reference scenario, the benchmark's paper-tables among them
     yield "paper-check-all", ["paper-check", "--scenario", "all", "--seed", "3"]
 
@@ -59,3 +63,7 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_has_a_request():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(REQUESTS)

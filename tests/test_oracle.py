@@ -1,6 +1,7 @@
 """Finite-difference checks and reference-table reconciliation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,18 @@ def test_fd_check_on_analytic_function():
     assert res.passed
     assert res.worst_rel_error < 1e-8
     assert res.probes_used == 20
+
+
+def test_fd_check_fails_on_a_slightly_wrong_derivative(monkeypatch):
+    from liftgeo import oracle
+
+    exact = oracle.differentiate
+    monkeypatch.setattr(oracle, "differentiate",
+                        lambda e, v: exact(e, v) * Fraction(10001, 10000))
+    for text, v in (("sinh(theta)", "theta"), ("X'(t)/X(t)", "t")):
+        res = finite_difference_check(ref(text), v)
+        assert not res.passed
+        assert res.worst_rel_error > 1e-5
 
 
 def test_fd_check_with_abstract_standins():
