@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
-from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
+from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart, inverse
 
 __all__ = [
     "Connection", "Riemann", "christoffel", "riemann", "fiber_contract",
@@ -176,8 +176,10 @@ def _riemann(c: Connection) -> Riemann:
 
 def fiber_contract(r: Riemann) -> dict:
     """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
-    tangent chart; a base chart that already names one is a GeometryError."""
-    fibers = [Coord(u) for u in r.chart.tangent().coords[r.chart.dim:]]
+    tangent chart; a base chart or a constant that already names one is a
+    GeometryError."""
+    tchart = _tangent_chart(r.chart, r.components.values())
+    fibers = [Coord(u) for u in tchart.coords[r.chart.dim:]]
     keys = dict.fromkeys(key[:3] for key in r.components)
     out = {
         key: esum((u, r.components.get(key + (k,), ZERO)) for k, u in enumerate(fibers))

@@ -284,16 +284,9 @@ def _frac_of(e: Expr):
         e = KnownFunc(e.kind, simplify(e.arg))
     if isinstance(e, (Coord, Const, FuncApp, KnownFunc)):
         return _poly.p_atom(_AtomKey(e)), _poly.p_one()
-    if isinstance(e, Sum):
-        acc = _poly.F_ZERO
-        for t in e.terms:
-            acc = _poly.f_add(acc, _frac_of(t))
-        return acc
-    if isinstance(e, Product):
-        acc = _poly.F_ONE
-        for f in e.factors:
-            acc = _poly.f_mul(acc, _frac_of(f))
-        return acc
+    if isinstance(e, (Sum, Product)):
+        value = esum(e.terms) if isinstance(e, Sum) else eprod(e.factors)
+        return value.num, value.den
     if isinstance(e, Power):
         base = _frac_of(e.base)
         n = abs(e.exponent)
@@ -906,13 +899,6 @@ class SymbolTable:
     def _check_name(self, name: str):
         if name in KNOWN_FUNCTIONS:
             raise ExprError(f"{name!r} is a reserved function name")
-
-    def copy(self) -> "SymbolTable":
-        t = SymbolTable()
-        t.coords = list(self.coords)
-        t.funcs = dict(self.funcs)
-        t.consts = set(self.consts)
-        return t
 
     @classmethod
     def default_gks(cls) -> "SymbolTable":

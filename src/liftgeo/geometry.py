@@ -68,6 +68,24 @@ class Chart:
         return str(i + 1)
 
 
+def _tangent_chart(chart: Chart, values) -> Chart:
+    """chart.tangent(), for lifting or fiber-contracting values on chart.
+
+    A constant of the values named like a fiber coordinate is a
+    GeometryError: the two would print, re-parse and be probed as one symbol.
+    """
+    tchart = chart.tangent()
+    fibers = set(tchart.coords[chart.dim:])
+    clash = sorted({a.name for v in values for a in ex._atoms(v)
+                    if isinstance(a, ex.Const) and a.name in fibers})
+    if clash:
+        raise GeometryError(
+            f"constant name(s) {clash} are reserved for the fiber coordinates "
+            "of the tangent chart"
+        )
+    return tchart
+
+
 @dataclass(frozen=True)
 class Metric:
     chart: Chart

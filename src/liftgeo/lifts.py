@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
-from .geometry import Frame, GeometryError, Metric, _derive
+from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
 from .connection import Connection, Riemann, christoffel, riemann
 
 __all__ = [
@@ -45,7 +45,8 @@ def horizontal_lift_vector(components: Sequence[Expr], c: Connection) -> tuple:
     comps = tuple(simplify(x) for x in components)
     if len(comps) != m:
         raise GeometryError(f"vector field needs {m} components")
-    fibers = [Coord(u) for u in c.chart.tangent().coords[m:]]
+    tchart = _tangent_chart(c.chart, comps + tuple(c.coefficients.values()))
+    fibers = [Coord(u) for u in tchart.coords[m:]]
     return comps + tuple(
         esum((-1, fibers[a], c.get(i, a, k), comps[k]) for a in range(m) for k in range(m))
         for i in range(m)
@@ -68,7 +69,7 @@ def lift_metric(g: Metric, kind: LiftKind) -> Metric:
 
 def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
-    tchart = g.chart.tangent()
+    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     entries: dict = {}
     if kind is LiftKind.SASAKI:
         for (i, j), v in g.items():
@@ -95,9 +96,8 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     return Metric.from_entries(tchart, entries, frame)
 
 
-def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection:
-    m = g.dim
-    tchart = g.chart.tangent()
+def _sasaki_connection(tchart: Chart, conn: Connection, riem: Riemann) -> Connection:
+    m = conn.chart.dim
     fibers = [Coord(u) for u in tchart.coords[m:]]
     half = Fraction(1, 2)
     coeffs: dict = {}
@@ -121,9 +121,8 @@ def _sasaki_connection(g: Metric, conn: Connection, riem: Riemann) -> Connection
     return Connection(tchart, coeffs, Frame.ADAPTED)
 
 
-def _horizontal_connection(g: Metric, conn: Connection) -> Connection:
-    m = g.dim
-    tchart = g.chart.tangent()
+def _horizontal_connection(tchart: Chart, conn: Connection) -> Connection:
+    m = conn.chart.dim
     coeffs: dict = {}
     for (k, i, j), gam in conn.items():
         pairs = [(i, j)] if i == j else [(i, j), (j, i)]
@@ -145,7 +144,8 @@ def lift_connection(
     kind = LiftKind(kind)
     if kind is LiftKind.COMPLETE:
         return christoffel(lift_metric(g, kind), cfg=cfg)
+    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     conn = christoffel(g, cfg=cfg)
     if kind is LiftKind.HORIZONTAL:
-        return _horizontal_connection(g, conn)
-    return _sasaki_connection(g, conn, riemann(conn))
+        return _horizontal_connection(tchart, conn)
+    return _sasaki_connection(tchart, conn, riemann(conn))

@@ -122,9 +122,15 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
 
 @dataclass(frozen=True)
 class ReconEntry:
+    """One reconciled entry. difference is computed - expected in printed
+    form, given for a mismatch or an inconclusive entry; an annotated
+    mismatch is a documented one, and note says why."""
+
     name: str
     status: str  # "match" | "mismatch" | "inconclusive"
-    difference: Optional[Expr] = None  # computed - expected, canonical
+    annotated: bool = False
+    note: Optional[str] = None
+    difference: Optional[str] = None
     witness: Optional[dict] = None
     value: Optional[float] = None
 
@@ -154,7 +160,8 @@ def reconcile_with_paper(
     """Entry-by-entry comparison of two name -> Expr tables.
 
     Mismatches are first-class results, never aborts: each carries the
-    canonical difference and, when available, a numeric witness point.
+    printed canonical difference and, when available, a numeric witness
+    point.
     """
     if set(computed) != set(expected):
         missing = sorted(set(expected) - set(computed))
@@ -171,11 +178,11 @@ def reconcile_with_paper(
         verdict = ex.is_identically_zero(diff, cfg=cfg)
         if verdict.is_nonzero:
             entries.append(ReconEntry(
-                name, "mismatch", difference=diff,
+                name, "mismatch", difference=to_string(diff),
                 witness=verdict.witness, value=verdict.value,
             ))
         elif verdict.is_zero:
             entries.append(ReconEntry(name, "match"))
         else:
-            entries.append(ReconEntry(name, "inconclusive", difference=diff))
+            entries.append(ReconEntry(name, "inconclusive", difference=to_string(diff)))
     return ReconciliationReport(tuple(entries))

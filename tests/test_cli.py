@@ -141,6 +141,17 @@ def test_json_round_trips_to_identical_text(files, capsys):
     assert set(report) == {"command", "inputs", "results", "diagnostics", "version"}
     code2, text, _ = run(capsys, "harmonic", files["g1"], files["ghat1"])
     assert render_text(report) == text
+    # the annotated mismatch, its printed difference, the pattern note and
+    # the scenario notes
+    code, out, _ = run(capsys, "paper-check", "--scenario", "complete-table",
+                       "--format", "json")
+    assert code == 0
+    paper = json.loads(out)
+    _, paper_text, _ = run(capsys, "paper-check", "--scenario", "complete-table")
+    assert render_text(paper) == paper_text
+    assert "annotated mismatch  Gamma^2bar_1,2 difference -2*u1*X'(t)^2/X(t)^2" in paper_text
+    assert "general-pattern (every slot equals the u-linear pattern" in paper_text
+    assert "  note: the printed table omits five nonzero mirror slots" in paper_text
     # expressions inside the report re-parse
     from liftgeo.expr import parse
     from conftest import full_symbols
@@ -352,6 +363,19 @@ def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "repeats" in err and "Traceback" not in err
+
+
+def test_constant_named_like_a_fiber_coordinate_fails_lifts(tmp_path, capsys):
+    p = tmp_path / "clash.metric"
+    p.write_text("chart t r\ng 1 1 = t*u1\ng 2 2 = 1\n")
+    for argv in (["lift", str(p), "--kind", "complete"],
+                 ["harmonic", str(p), str(p), "--lift", "sasaki"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "'u1'" in err and "Traceback" not in err
+    code, _, _ = run(capsys, "christoffel", str(p))
+    assert code == 0
 
 
 @pytest.mark.parametrize("text, code", [

@@ -185,6 +185,19 @@ def test_complete_table_scenario_has_single_annotated_mismatch():
     assert entry.difference == "-2*u1*X'(t)^2/X(t)^2"
 
 
+def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
+    # the table scenarios build the abstract metric's connection once;
+    # theorem-equivalence builds its own pairs
+    from liftgeo import connection
+    abstract = build_gks(abstract_spec())
+    builds = []
+    christoffel = connection._christoffel
+    monkeypatch.setattr(connection, "_christoffel",
+                        lambda g, ginv: builds.append(g == abstract) or christoffel(g, ginv))
+    run_scenario("all", ProbeConfig(seed=3))
+    assert builds.count(True) == 2
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("riemann-hypothesis")

@@ -2,9 +2,11 @@
 
 import pytest
 
-from liftgeo.expr import Coord, ZERO, differentiate, eprod, equivalent, esum, simplify
-from liftgeo.connection import christoffel, metric_compatibility_residual, riemann
-from liftgeo.geometry import Chart, Frame, Metric, identity_matrix, inverse
+from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum, simplify
+from liftgeo.connection import (
+    christoffel, fiber_contract, metric_compatibility_residual, riemann,
+)
+from liftgeo.geometry import Chart, Frame, GeometryError, Metric, identity_matrix, inverse
 from liftgeo.lifts import (
     LiftKind, horizontal_lift_vector, lift_connection, lift_metric, vertical_lift,
 )
@@ -113,6 +115,22 @@ def test_lift_of_lifted_metric_rejected(gks_metric):
     lifted = lift_metric(gks_metric, LiftKind.SASAKI)
     with pytest.raises(Exception):
         lift_metric(lifted, LiftKind.SASAKI)
+
+
+def test_constant_named_like_a_fiber_coordinate_is_rejected():
+    # the constant u1 would print, re-parse and be probed as the fiber
+    # coordinate u1 of the tangent chart
+    g = Metric.from_entries(Chart(("t", "x")), {
+        (0, 0): ref("1"), (1, 1): eprod((Const("u1"), ref("sin(t)^2"))),
+    })
+    conn = christoffel(g)
+    refused = [lambda kind=kind: lift_metric(g, kind) for kind in LiftKind]
+    refused += [lambda kind=kind: lift_connection(g, kind) for kind in LiftKind]
+    refused += [lambda: horizontal_lift_vector([ref("1"), ZERO], conn),
+                lambda: fiber_contract(riemann(conn))]
+    for build in refused:
+        with pytest.raises(GeometryError, match="u1"):
+            build()
 
 
 # ---------------------------------------------------------------------------

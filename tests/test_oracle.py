@@ -109,7 +109,7 @@ def test_reconcile_flags_mismatch_with_witness():
     report = reconcile_with_paper(computed, expected)
     assert not report.all_match
     (entry,) = report.mismatches
-    assert entry.difference == ref("-2*u1*X'(t)^2/X(t)^2")
+    assert entry.difference == "-2*u1*X'(t)^2/X(t)^2"
     assert entry.witness is not None and entry.value is not None
 
 
