@@ -16,13 +16,9 @@ from .connection import (  # noqa: F401
     Connection, Riemann, christoffel, riemann, fiber_contract,
     metric_compatibility_residual,
 )
-from .lifts import (  # noqa: F401
-    LiftKind, vertical_lift, horizontal_lift_vector,
-    lift_metric, lift_connection,
-)
+from .lifts import LiftKind, lift_metric, lift_connection  # noqa: F401
 from .harmonicity import (  # noqa: F401
-    HarmonicityReport, second_fundamental_form, tension_field,
-    harmonicity_residuals, lifted_harmonicity,
+    HarmonicityReport, harmonicity_residuals, lifted_harmonicity,
 )
 from .gks import (  # noqa: F401
     GksSpec, abstract_spec, hatted_abstract_spec, build_gks, condition_18,

@@ -792,23 +792,19 @@ class ZeroVerdict:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Settings of the probe-based zero test and the finite-difference check."""
+    """Settings of the probe-based zero test: seed, probe count and zero
+    tolerance. The finite-difference check draws its points with the same
+    seed and probe count."""
 
     seed: int = 0
     probes: int = DEFAULT_PROBE_COUNT
     zero_tol: float = DEFAULT_ZERO_TOL
-    fd_step: float = 1e-5
-    fd_rel_tol: float = 1e-6
-    domain: Optional[Mapping] = None  # label -> (lo, hi), defaults per symbol
 
     def __post_init__(self):
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
-        if not all(0 < x < math.inf for x in (self.zero_tol, self.fd_step, self.fd_rel_tol)):
+        if not 0 < self.zero_tol < math.inf:
             raise ValueError("tolerances and steps must be positive and finite")
-        for label, (lo, hi) in (self.domain or {}).items():
-            if not lo < hi:
-                raise ValueError(f"degenerate probe interval for {label!r}")
 
 
 _MAX_REDRAWS = 8
@@ -819,11 +815,10 @@ def _probe_points(symbols: Mapping, cfg: ProbeConfig):
     (env, labeled); callers take the next candidate when a point is singular.
 
     env maps each key of symbols, and labeled each label, to one draw from
-    the label's cfg.domain interval or its default probe_interval.
+    the label's probe_interval.
     """
     ordered = sorted(symbols.items(), key=lambda kv: kv[1])
-    intervals = [(key, label, (cfg.domain or {}).get(label) or probe_interval(label))
-                 for key, label in ordered]
+    intervals = [(key, label, probe_interval(label)) for key, label in ordered]
 
     def draw(probe: int, attempt: int) -> tuple:
         rng = random.Random(((cfg.seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
@@ -841,11 +836,12 @@ def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVer
     """Sound tri-state zero test with the probe settings of cfg.
 
     "zero" is claimed only when the canonical form is literally 0. Otherwise
-    cfg.probes random points over the safe domain (cfg.seed, cfg.domain) look
-    for a numeric witness; if none exceeds cfg.zero_tol the verdict is
-    "unknown", never silently zero. A point where a denominator falls below
-    DEFAULT_EPSILON or a value overflows a double is singular and is drawn
-    again. The value is laid out for evaluation once, before the probes.
+    cfg.probes random points over the safe domain (cfg.seed, each symbol's
+    probe_interval) look for a numeric witness; if none exceeds cfg.zero_tol
+    the verdict is "unknown", never silently zero. A point where a
+    denominator falls below DEFAULT_EPSILON or a value overflows a double is
+    singular and is drawn again. The value is laid out for evaluation once,
+    before the probes.
     """
     s = simplify(e)
     if s == ZERO:

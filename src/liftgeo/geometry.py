@@ -16,7 +16,6 @@ __all__ = [
     "Chart", "Frame", "Metric", "GeometryError", "DegenerateMetricError",
     "MetricFileError", "inverse", "determinant", "validate",
     "parse_metric_document", "load_metric_document", "MetricDocument",
-    "matrix_mul", "identity_matrix",
 ]
 
 
@@ -138,20 +137,6 @@ def _derive(owner, key, build):
     """
     found = owner._derived.get(key)
     return found if found is not None else owner._derived.setdefault(key, build())
-
-
-def identity_matrix(n: int):
-    return tuple(
-        tuple(ex.ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def matrix_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(esum((a[i][k], b[k][j]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:

@@ -44,11 +44,6 @@ __all__ = [
 
 BASE_CHART = Chart(("t", "r", "theta", "phi"))
 
-VARIANT_KANTOWSKI_SACHS = "kantowski-sachs"
-VARIANT_BIANCHI_III = "bianchi-iii"
-VARIANT_BIANCHI_I = "bianchi-i"
-VARIANT_CUSTOM = "custom"
-
 
 @dataclass(frozen=True)
 class GksSpec:
@@ -63,17 +58,6 @@ class GksSpec:
             raise ValueError("X and Y must be functions of t")
         if self.f.var != "theta":
             raise ValueError("f must be a function of theta")
-
-    @property
-    def variant(self) -> str:
-        if self.f.is_abstract:
-            return VARIANT_CUSTOM
-        body = simplify(self.f.body)
-        for variant, kind in ((VARIANT_KANTOWSKI_SACHS, "sin"), (VARIANT_BIANCHI_III, "sinh"),
-                              (VARIANT_BIANCHI_I, "identity")):
-            if body == simplify(_f_body(kind)):
-                return variant
-        return VARIANT_CUSTOM
 
 
 def abstract_spec() -> GksSpec:
@@ -422,12 +406,11 @@ def _table(label, computed: Mapping, reference: Mapping, cfg: ProbeConfig) -> li
     tuple; a key on one side only is 0 on the other. label(*key) names an
     entry, and reference holds the transcribed text."""
     keys = computed.keys() | reference.keys()
-    report = reconcile_with_paper(
+    return list(reconcile_with_paper(
         {label(*key): computed.get(key, ZERO) for key in keys},
         {label(*key): _ref(reference[key]) if key in reference else ZERO for key in keys},
         cfg,
-    )
-    return list(report.entries)
+    ))
 
 
 def scenario_gamma_matrices(cfg: ProbeConfig, metric) -> ScenarioResult:
@@ -452,7 +435,7 @@ def scenario_traces(cfg: ProbeConfig, metric) -> ScenarioResult:
         metric(abstract_spec()), metric(hatted_abstract_spec()), cfg=cfg)
     computed = {f"rho^{k}": report.residual(k) for k in ("1", "2", "3", "4")}
     expected = {key: _ref(s) for key, s in TRACE_REF.items()}
-    return ScenarioResult("traces", reconcile_with_paper(computed, expected, cfg).entries)
+    return ScenarioResult("traces", reconcile_with_paper(computed, expected, cfg))
 
 
 def scenario_example1(cfg: ProbeConfig, metric) -> ScenarioResult:
@@ -463,7 +446,7 @@ def scenario_example1(cfg: ProbeConfig, metric) -> ScenarioResult:
         "condition-1": ZERO,
         "condition-2": _ref("-sinh(theta)*cosh(theta) + theta"),
     }
-    entries = list(reconcile_with_paper(computed, expected, cfg).entries)
+    entries = list(reconcile_with_paper(computed, expected, cfg))
     report = harmonicity_residuals(metric(g_spec), metric(hat_spec), cfg=cfg)
     if report.verdict.kind == "not_harmonic" and report.verdict.witness:
         witness = ", ".join(
@@ -514,7 +497,7 @@ def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig, metric) -> ScenarioRe
         computed[f"rho^{label}bar"] = lifted.residual(f"{label}bar")
         expected[f"rho^{label}"] = base.residual(label)
         expected[f"rho^{label}bar"] = ZERO
-    entries = reconcile_with_paper(computed, expected, cfg).entries
+    entries = reconcile_with_paper(computed, expected, cfg)
     return ScenarioResult(kind.value, entries, tuple(lifted.notes))
 
 

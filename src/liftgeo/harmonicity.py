@@ -1,9 +1,10 @@
-"""Second fundamental form, tension field, and the trace-based relative
-harmonicity criterion for metric pairs.
+"""The trace-based relative harmonicity criterion for metric pairs, on the
+base manifold and on its tangent bundle.
 
 A metric d is harmonic with respect to g when the identity map
-(M, g) -> (M, d) is harmonic; operationally, when every trace
-rho^k = g^ij (dGamma^k_ij - Gamma^k_ij) vanishes. The relation is not
+(M, g) -> (M, d) is harmonic. Its tension field is the trace vector
+rho^k = g^ij (dGamma^k_ij - Gamma^k_ij), so operationally d is harmonic
+with respect to g when every trace vanishes. The relation is not
 symmetric in (g, d): g supplies both the inverse and the subtracted
 connection.
 """
@@ -11,17 +12,16 @@ connection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import expr as ex
-from .expr import Expr, ProbeConfig, ZERO, esum, differentiate, simplify, substitute
+from .expr import Expr, ProbeConfig, ZERO, esum
 from .geometry import Chart, Frame, GeometryError, Metric, inverse
 from .connection import Connection, christoffel
 from .lifts import LiftKind, lift_connection, lift_metric
 
 __all__ = [
-    "Verdict", "HarmonicityReport", "second_fundamental_form", "tension_field",
-    "harmonicity_residuals", "lifted_harmonicity",
+    "Verdict", "HarmonicityReport", "harmonicity_residuals", "lifted_harmonicity",
 ]
 
 
@@ -32,10 +32,6 @@ class Verdict:
     witness: Optional[dict] = None
     value: Optional[float] = None
     undecided_indices: tuple = ()
-
-    @property
-    def is_harmonic(self) -> bool:
-        return self.kind == "harmonic"
 
 
 @dataclass(frozen=True)
@@ -67,65 +63,6 @@ def _judge(chart: Chart, residuals: dict, notes, cfg: ProbeConfig) -> Harmonicit
     else:
         verdict = Verdict("harmonic")
     return HarmonicityReport(chart, residuals, verdict, tuple(notes))
-
-
-def second_fundamental_form(
-    f_map: Sequence[Expr],
-    g1: Metric,
-    g2: Metric,
-    *,
-    cfg: ProbeConfig = ProbeConfig(),
-) -> dict:
-    """beta(f)^gamma_ij for a map given by coordinate expressions.
-
-    beta^gamma_ij = d_i d_j f^gamma - MGamma^k_ij d_k f^gamma
-    + NGamma^gamma_ab (d_i f^a)(d_j f^b), with the target connection
-    composed with the map. Keys are (gamma, i, j) with i <= j.
-    """
-    m = g1.dim
-    n = g2.dim
-    f_map = tuple(simplify(c) for c in f_map)
-    if len(f_map) != n:
-        raise GeometryError(f"map needs {n} component expressions")
-    xs = g1.chart.coords
-    ys = g2.chart.coords
-    conn1 = christoffel(g1, cfg=cfg)
-    conn2 = christoffel(g2, cfg=cfg)
-    jac = [[differentiate(f_map[a], xs[i]) for i in range(m)] for a in range(n)]
-    pullback = {y: f_map[a] for a, y in enumerate(ys)}
-    target = {
-        key: substitute(value, pullback) for key, value in conn2.items()
-    }
-    # each stored target coefficient NGamma^c_ab with a < b stands for two slots
-    slots = [(c, ab, gam) for (c, a, b), gam in target.items()
-             for ab in {(a, b), (b, a)}]
-    return {
-        (gamma, i, j): esum(
-            [differentiate(jac[gamma][j], xs[i])]
-            + [(-1, conn1.get(k, i, j), jac[gamma][k]) for k in range(m)]
-            + [(gam, jac[a][i], jac[b][j]) for c, (a, b), gam in slots if c == gamma]
-        )
-        for gamma in range(n) for i in range(m) for j in range(i, m)
-    }
-
-
-def tension_field(
-    f_map: Sequence[Expr],
-    g1: Metric,
-    g2: Metric,
-    *,
-    cfg: ProbeConfig = ProbeConfig(),
-) -> tuple:
-    """tau(f)^gamma = g^ij beta(f)^gamma_ij (trace with the domain metric)."""
-    beta = second_fundamental_form(f_map, g1, g2, cfg=cfg)
-    ginv = inverse(g1, cfg=cfg)
-    m = g1.dim
-    n = g2.dim
-    return tuple(
-        esum((ginv.entry(i, j), beta[(gamma, min(i, j), max(i, j))])
-             for i in range(m) for j in range(m))
-        for gamma in range(n)
-    )
 
 
 def harmonicity_residuals(

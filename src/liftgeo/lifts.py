@@ -1,5 +1,5 @@
-"""Tangent-bundle constructions: vector lifts, the Sasaki, horizontal and
-complete lift metrics, and their Levi-Civita connection tables.
+"""Tangent-bundle constructions: the Sasaki, horizontal and complete lift
+metrics and their Levi-Civita connection tables.
 
 Index convention: on a tangent chart of an m-dimensional base, slot i < m is
 the base direction x^(i+1) and slot i + m is the fiber direction u^(i+1)
@@ -14,43 +14,18 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Sequence
 
-from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
+from .expr import Coord, ProbeConfig, ZERO, esum, differentiate
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
 from .connection import Connection, Riemann, christoffel, riemann
 
-__all__ = [
-    "LiftKind", "vertical_lift", "horizontal_lift_vector",
-    "lift_metric", "lift_connection",
-]
+__all__ = ["LiftKind", "lift_metric", "lift_connection"]
 
 
 class LiftKind(enum.Enum):
     SASAKI = "sasaki"
     HORIZONTAL = "horizontal"
     COMPLETE = "complete"
-
-
-def vertical_lift(components: Sequence[Expr]) -> tuple:
-    """(0, ..., 0, X^1, ..., X^m): the fiber copy of a base vector field."""
-    comps = tuple(simplify(c) for c in components)
-    m = len(comps)
-    return tuple([ZERO] * m) + comps
-
-
-def horizontal_lift_vector(components: Sequence[Expr], c: Connection) -> tuple:
-    """(X^i ; -u^a Gamma^i_ak X^k) in the induced natural coordinates."""
-    m = c.chart.dim
-    comps = tuple(simplify(x) for x in components)
-    if len(comps) != m:
-        raise GeometryError(f"vector field needs {m} components")
-    tchart = _tangent_chart(c.chart, comps + tuple(c.coefficients.values()))
-    fibers = [Coord(u) for u in tchart.coords[m:]]
-    return comps + tuple(
-        esum((-1, fibers[a], c.get(i, a, k), comps[k]) for a in range(m) for k in range(m))
-        for i in range(m)
-    )
 
 
 def lift_metric(g: Metric, kind: LiftKind) -> Metric:

@@ -1,6 +1,10 @@
 """Numeric verification harness: finite-difference derivative checks and
-reference-table reconciliation. Random-point identity probing, which the
-reconciliation uses for entries that do not cancel exactly, lives in
+reference-table reconciliation.
+
+A derivative is checked by a Richardson step over central differences of
+step FD_STEP and passes within the relative error FD_REL_TOL. Reconciliation
+returns one ReconEntry per table entry. Random-point identity probing, which
+it uses for entries that do not cancel exactly, lives in
 :func:`liftgeo.expr.is_identically_zero`."""
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ from .expr import (
 
 __all__ = [
     "ProbeConfig", "OracleError", "InconclusiveError", "FdResult",
-    "concretize", "finite_difference_check", "ReconEntry", "ReconciliationReport",
-    "reconcile_with_paper",
+    "concretize", "finite_difference_check", "ReconEntry", "reconcile_with_paper",
+    "FD_STEP", "FD_REL_TOL",
 ]
+
+FD_STEP = 1e-5  # central-difference step h of the coarse difference
+FD_REL_TOL = 1e-6  # largest relative error of a passing derivative
 
 
 class OracleError(Exception):
@@ -81,9 +88,9 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     """Finite-difference check of differentiate(e, v) on the probe domain.
 
     The numeric derivative is the Richardson step (4 D(h/2) - D(h)) / 3 over
-    central differences D with h = cfg.fd_step: it cancels the h^2 term of
-    the truncation error, which on a steep function such as exp(801*t)
-    would otherwise pass cfg.fd_rel_tol. Abstract functions are replaced by
+    central differences D with h = FD_STEP: it cancels the h^2 term of the
+    truncation error, which on a steep function such as exp(801*t) would
+    otherwise pass FD_REL_TOL. Abstract functions are replaced by
     concrete polynomial stand-ins drawn deterministically from the seed (see
     concretize), so evaluation and differentiation see the same functional
     dependence. Each value is laid out for evaluation once, not per point.
@@ -94,7 +101,7 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     if v not in symbols.values():
         symbols[v] = v
     concrete, analytic = ex._plan(concrete), ex._plan(analytic)
-    h = cfg.fd_step
+    h = FD_STEP
     worst = 0.0
     used = 0
     for candidates in ex._probe_points(symbols, cfg):
@@ -114,7 +121,7 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
         raise InconclusiveError(
             f"all probes hit singular denominators for d/d{v} of {to_string(e)}"
         )
-    return FdResult(passed=worst <= cfg.fd_rel_tol, worst_rel_error=worst, probes_used=used)
+    return FdResult(passed=worst <= FD_REL_TOL, worst_rel_error=worst, probes_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +142,13 @@ class ReconEntry:
     value: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
-    entries: tuple
-
-    @property
-    def mismatches(self) -> tuple:
-        return tuple(e for e in self.entries if e.status == "mismatch")
-
-    @property
-    def inconclusive(self) -> tuple:
-        return tuple(e for e in self.entries if e.status == "inconclusive")
-
-    @property
-    def all_match(self) -> bool:
-        return all(e.status == "match" for e in self.entries)
-
-
 def reconcile_with_paper(
     computed: Mapping,
     expected: Mapping,
     cfg: ProbeConfig = ProbeConfig(),
-) -> ReconciliationReport:
-    """Entry-by-entry comparison of two name -> Expr tables.
+) -> tuple:
+    """Entry-by-entry comparison of two name -> Expr tables: one ReconEntry
+    per name, in sorted order.
 
     Mismatches are first-class results, never aborts: each carries the
     printed canonical difference and, when available, a numeric witness
@@ -185,4 +176,4 @@ def reconcile_with_paper(
             entries.append(ReconEntry(name, "match"))
         else:
             entries.append(ReconEntry(name, "inconclusive", difference=to_string(diff)))
-    return ReconciliationReport(tuple(entries))
+    return tuple(entries)

@@ -1,6 +1,6 @@
 import pytest
 
-from liftgeo.expr import FuncSymbol, SymbolTable, parse
+from liftgeo.expr import ONE, ZERO, FuncSymbol, SymbolTable, esum, parse
 from liftgeo.geometry import Chart, Metric
 from liftgeo.gks import abstract_spec, build_gks, example_pair, hatted_abstract_spec
 
@@ -20,6 +20,18 @@ def full_symbols() -> SymbolTable:
 
 def ref(text: str):
     return parse(text, full_symbols())
+
+
+def identity_matrix(n: int) -> tuple:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def matrix_mul(a, b) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(esum((a[i][k], b[k][j]) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 @pytest.fixture(scope="session")

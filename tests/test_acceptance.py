@@ -28,7 +28,7 @@ from liftgeo.oracle import ProbeConfig, finite_difference_check
 from conftest import ref
 
 
-CFG = ProbeConfig()  # seed 0, 20 probes, zero_tol 1e-9, fd_rel_tol 1e-6
+CFG = ProbeConfig()  # seed 0, 20 probes, zero_tol 1e-9 (and oracle.FD_REL_TOL 1e-6)
 
 
 def report(criterion: int, text: str):

@@ -117,7 +117,7 @@ def test_verify(files, capsys):
 
 def test_verify_passes_on_a_steep_entry(tmp_path, capsys):
     # a plain central difference is off by 1.07e-05 here (truncation error
-    # on exp(801*t)); the Richardson step is within fd_rel_tol
+    # on exp(801*t)); the Richardson step is within FD_REL_TOL
     p = tmp_path / "steep.metric"
     p.write_text("chart t x\ng 1 1 = exp(400*t)*exp(401*t)*(2+sin(x))\ng 2 2 = 1\n")
     code, out, _ = run(capsys, "verify", str(p))

@@ -6,9 +6,9 @@ from liftgeo.expr import ZERO, equivalent, esum, simplify
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
-from liftgeo.geometry import Chart, GeometryError, Metric, identity_matrix
+from liftgeo.geometry import Chart, GeometryError, Metric
 
-from conftest import ref
+from conftest import identity_matrix, ref
 
 GKS_GAMMA = {
     (0, 1, 1): "X(t)*X'(t)",

@@ -5,12 +5,11 @@ import pytest
 from liftgeo.expr import ZERO, equivalent, simplify, to_string
 from liftgeo.geometry import (
     Chart, DegenerateMetricError, Frame, GeometryError, Metric,
-    MetricFileError, determinant, identity_matrix, inverse, matrix_mul,
-    parse_metric_document, validate,
+    MetricFileError, determinant, inverse, parse_metric_document, validate,
 )
 from liftgeo.lifts import LiftKind, lift_metric
 
-from conftest import ref
+from conftest import identity_matrix, matrix_mul, ref
 
 
 def test_tangent_chart_layout():

@@ -44,27 +44,6 @@ def test_build_flat_like_member():
     assert m.entry(3, 3) == ref("-theta^2")
 
 
-def test_variant_detection():
-    g_spec, hat_spec = example_pair()
-    assert hat_spec.variant == "bianchi-iii"
-    assert g_spec.variant == "bianchi-i"
-    sin_spec = GksSpec(
-        FuncSymbol("X", "t"), FuncSymbol("Y", "t"),
-        FuncSymbol("f", "theta", KnownFunc("sin", Coord("theta"))),
-    )
-    assert sin_spec.variant == "kantowski-sachs"
-    assert abstract_spec().variant == "custom"
-
-
-def test_variant_of_a_parsed_body():
-    # a body read from a metric file is a value, compared by its normal form
-    parsed = GksSpec(
-        FuncSymbol("X", "t"), FuncSymbol("Y", "t"),
-        FuncSymbol("f", "theta", ref("sin(theta)")),
-    )
-    assert parsed.variant == "kantowski-sachs"
-
-
 def test_spec_coordinate_conventions_enforced():
     with pytest.raises(ValueError):
         GksSpec(FuncSymbol("X", "theta"), FuncSymbol("Y", "t"), FuncSymbol("f", "theta"))

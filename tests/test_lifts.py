@@ -1,17 +1,15 @@
-"""Vector lifts, the three lift metrics, and their connection tables."""
+"""The three lift metrics and their connection tables."""
 
 import pytest
 
-from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum, simplify
+from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
-from liftgeo.geometry import Chart, Frame, GeometryError, Metric, identity_matrix, inverse
-from liftgeo.lifts import (
-    LiftKind, horizontal_lift_vector, lift_connection, lift_metric, vertical_lift,
-)
+from liftgeo.geometry import Chart, Frame, GeometryError, Metric, inverse
+from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 
-from conftest import ref
+from conftest import identity_matrix, ref
 
 
 @pytest.fixture(scope="module")
@@ -22,44 +20,6 @@ def gks_conn(gks_metric):
 def flat_metric(n=4):
     names = ("t", "r", "theta", "phi")[:n]
     return Metric(Chart(names), identity_matrix(n))
-
-
-# ---------------------------------------------------------------------------
-# vector lifts
-
-def test_vertical_lift_of_basis_vector():
-    got = vertical_lift([ref("1"), ZERO, ZERO, ZERO])
-    assert got == (ZERO,) * 4 + (ref("1"), ZERO, ZERO, ZERO)
-
-
-def test_vertical_lift_generic_components():
-    comps = [ref("t"), ref("X(t)"), ZERO, ref("2")]
-    got = vertical_lift(comps)
-    assert got[:4] == (ZERO,) * 4
-    assert list(got[4:]) == [simplify(c) for c in comps]
-
-
-def test_vertical_lift_of_zero_field():
-    assert vertical_lift([ZERO] * 4) == (ZERO,) * 8
-
-
-def test_horizontal_lift_on_flat_base():
-    conn = christoffel(flat_metric())
-    got = horizontal_lift_vector([ref("1"), ZERO, ZERO, ZERO], conn)
-    assert got == (ref("1"),) + (ZERO,) * 7
-
-
-def test_horizontal_lift_of_radial_direction(gks_conn):
-    got = horizontal_lift_vector([ZERO, ref("1"), ZERO, ZERO], gks_conn)
-    assert got[:4] == (ZERO, ref("1"), ZERO, ZERO)
-    # vertical part: -u^a Gamma^i_{a 2}
-    assert got[4] == ref("-u2*X(t)*X'(t)")
-    assert got[5] == ref("-u1*X'(t)/X(t)")
-    assert got[6] == got[7] == ZERO
-
-
-def test_horizontal_lift_of_zero_field(gks_conn):
-    assert horizontal_lift_vector([ZERO] * 4, gks_conn) == (ZERO,) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +86,7 @@ def test_constant_named_like_a_fiber_coordinate_is_rejected():
     conn = christoffel(g)
     refused = [lambda kind=kind: lift_metric(g, kind) for kind in LiftKind]
     refused += [lambda kind=kind: lift_connection(g, kind) for kind in LiftKind]
-    refused += [lambda: horizontal_lift_vector([ref("1"), ZERO], conn),
-                lambda: fiber_contract(riemann(conn))]
+    refused.append(lambda: fiber_contract(riemann(conn)))
     for build in refused:
         with pytest.raises(GeometryError, match="u1"):
             build()

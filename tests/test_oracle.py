@@ -20,14 +20,12 @@ def test_probe_config_validation():
         ProbeConfig(probes=0)
     with pytest.raises(ValueError):
         ProbeConfig(zero_tol=0.0)
-    with pytest.raises(ValueError):
-        ProbeConfig(domain={"t": (2.0, 1.0)})
     cfg = ProbeConfig(seed=5, probes=7)
     assert cfg.seed == 5
     assert cfg.probes == 7
 
 
-@pytest.mark.parametrize("field", ["zero_tol", "fd_step", "fd_rel_tol"])
+@pytest.mark.parametrize("field", ["zero_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_probe_config_rejects_non_finite_settings(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -74,9 +72,9 @@ def test_fd_check_deterministic():
 
 
 def test_fd_check_inconclusive_when_every_probe_is_singular():
-    cfg = ProbeConfig(domain={"q0": (-2.0, -1.0)})
+    # -q0^2 < 0 at every probe point, so log is outside its domain there
     with pytest.raises(InconclusiveError):
-        finite_difference_check(ref("log(q0) + t"), "t", cfg)
+        finite_difference_check(ref("log(-q0^2) + t"), "t")
 
 
 def test_fd_check_passes_for_gks_connection_and_curvature(gks_metric):
@@ -91,24 +89,22 @@ def test_fd_check_passes_for_gks_connection_and_curvature(gks_metric):
 
 
 def test_reconcile_empty_maps():
-    report = reconcile_with_paper({}, {})
-    assert report.entries == ()
-    assert report.all_match
+    assert reconcile_with_paper({}, {}) == ()
 
 
 def test_reconcile_matching_tables(gks_metric):
     conn = christoffel(gks_metric)
     computed = {conn.display_key(*key): v for key, v in conn.items()}
-    report = reconcile_with_paper(computed, dict(computed))
-    assert report.all_match
+    entries = reconcile_with_paper(computed, dict(computed))
+    assert [e.name for e in entries] == sorted(computed)
+    assert all(e.status == "match" and e.difference is None for e in entries)
 
 
 def test_reconcile_flags_mismatch_with_witness():
     computed = {"entry": ref("u1*(X(t)*X''(t) - X'(t)^2)/X(t)^2")}
     expected = {"entry": ref("u1*(X(t)*X''(t) + X'(t)^2)/X(t)^2")}
-    report = reconcile_with_paper(computed, expected)
-    assert not report.all_match
-    (entry,) = report.mismatches
+    (entry,) = reconcile_with_paper(computed, expected)
+    assert entry.status == "mismatch"
     assert entry.difference == "-2*u1*X'(t)^2/X(t)^2"
     assert entry.witness is not None and entry.value is not None
 
@@ -116,11 +112,10 @@ def test_reconcile_flags_mismatch_with_witness():
 def test_reconcile_surfaces_unknown_as_inconclusive():
     computed = {"trig": ref("sin(theta)^2 + cos(theta)^2")}
     expected = {"trig": ref("1")}
-    report = reconcile_with_paper(computed, expected)
-    (entry,) = report.inconclusive
+    (entry,) = reconcile_with_paper(computed, expected)
     assert entry.status == "inconclusive"
-    assert not report.all_match or True  # inconclusive is not a match
-    assert not report.mismatches
+    assert entry.difference == "-1 + cos(theta)^2 + sin(theta)^2"
+    assert entry.witness is None
 
 
 def test_reconcile_requires_shared_keys():
