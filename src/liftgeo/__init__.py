@@ -4,7 +4,7 @@ for generalized Kantowski-Sachs type spacetimes."""
 __version__ = "0.1.0"
 
 from .expr import (  # noqa: F401
-    Expr, Normal, Rat, Coord, Const, FuncApp, KnownFunc, Sum, Product, Power,
+    Expr, Normal, Coord, Const, FuncApp, KnownFunc,
     FuncSymbol, SymbolTable, ZeroVerdict, ProbeConfig, parse, to_string, simplify,
     differentiate, substitute, eval_numeric, is_identically_zero, equivalent,
 )

@@ -374,11 +374,10 @@ def _gcd_int(a: Poly, b: Poly) -> Poly:
         # g divides every coefficient of a and of b in x
         x = max(free)
         return _gcd_int(_content_in(a, x), _content_in(b, x))
-    x = max(atoms_a | atoms_b)
-    if x not in atoms_a:
-        return _gcd_int(a, _content_in(b, x))
-    if x not in atoms_b:
-        return _gcd_int(_content_in(a, x), b)
+    # no atom of shared is free, so shared is not empty; the shared atom of
+    # least degree in a or b as main variable keeps the remainder sequence
+    # of a dense pair short
+    x = min(shared, key=lambda y: (min(_degree(a, y), _degree(b, y)), y))
     A = _trim(_to_dense(a, x))
     B = _trim(_to_dense(b, x))
     cont_a = _gcd_list(c for c in A if not p_is_zero(c))

@@ -213,16 +213,14 @@ def _fmt_witness(witness) -> str:
 # subcommand implementations
 
 def _cmd_christoffel(args, cfg) -> tuple:
-    doc = load_metric_document(args.metric_file)
-    conn = christoffel(doc.metric, cfg=cfg)
+    conn = christoffel(load_metric_document(args.metric_file), cfg=cfg)
     coeffs = _expr_map((conn.display_key(*key), v) for key, v in conn.items())
     results = {"coefficients": coeffs}
     return _report("christoffel", [_digest(args.metric_file)], results, []), EXIT_OK
 
 
 def _cmd_curvature(args, cfg) -> tuple:
-    doc = load_metric_document(args.metric_file)
-    conn = christoffel(doc.metric, cfg=cfg)
+    conn = christoffel(load_metric_document(args.metric_file), cfg=cfg)
     riem = riemann(conn)
     comps = _expr_map((riem.display_key(*key), v) for key, v in riem.items())
     results = {"components": comps}
@@ -235,9 +233,9 @@ def _cmd_curvature(args, cfg) -> tuple:
 
 
 def _cmd_lift(args, cfg) -> tuple:
-    doc = load_metric_document(args.metric_file)
+    metric = load_metric_document(args.metric_file)
     kind = LiftKind(args.kind)
-    lifted = lift_metric(doc.metric, kind)
+    lifted = lift_metric(metric, kind)
     name = lifted.chart.index_name
     results = {
         "kind": kind.value,
@@ -245,7 +243,7 @@ def _cmd_lift(args, cfg) -> tuple:
         "metric": _expr_map((f"g_{name(i)},{name(j)}", v) for (i, j), v in lifted.items()),
     }
     if args.connection:
-        conn = lift_connection(doc.metric, kind, cfg=cfg)
+        conn = lift_connection(metric, kind, cfg=cfg)
         results["connection"] = _expr_map(
             (conn.display_key(*key), v) for key, v in conn.items()
         )
@@ -253,12 +251,12 @@ def _cmd_lift(args, cfg) -> tuple:
 
 
 def _cmd_harmonic(args, cfg) -> tuple:
-    g_doc = load_metric_document(args.g_file)
-    d_doc = load_metric_document(args.d_file)
+    g = load_metric_document(args.g_file)
+    d = load_metric_document(args.d_file)
     if args.lift:
-        report = lifted_harmonicity(g_doc.metric, d_doc.metric, LiftKind(args.lift), cfg=cfg)
+        report = lifted_harmonicity(g, d, LiftKind(args.lift), cfg=cfg)
     else:
-        report = harmonicity_residuals(g_doc.metric, d_doc.metric, cfg=cfg)
+        report = harmonicity_residuals(g, d, cfg=cfg)
     results = {
         "lift": args.lift,
         "residuals": _expr_map(
@@ -294,8 +292,7 @@ def _cmd_paper_check(args, cfg) -> tuple:
 
 
 def _cmd_verify(args, cfg) -> tuple:
-    doc = load_metric_document(args.metric_file)
-    metric = doc.metric
+    metric = load_metric_document(args.metric_file)
     checks = []
 
     issues = validate(metric, cfg=cfg)

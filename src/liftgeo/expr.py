@@ -7,13 +7,13 @@ order) pair and each built-in function application is an independent
 indeterminate. No trigonometric or hyperbolic identities are applied.
 Equal values have equal pairs, so equality is exact and structural.
 
-The node classes (Rat, Coord, Const, FuncApp, KnownFunc, Sum, Product,
-Power) are input syntax only: the parser's tree before simplify, trees
-built by hand, and the derivative rules of the built-in functions.
-:func:`simplify` turns a tree into its Normal through ``_frac_of``, the
-one walker over trees, and every public operation returns a Normal.
-Printing, numeric evaluation and substitution all read the pair, in the
-term order of ``_layout``.
+The atoms (Coord, Const, FuncApp, KnownFunc) are the only other nodes: a
+polynomial indeterminate carries its atom, and :func:`simplify` turns a
+lone atom into its Normal through ``_frac_of``. The parser folds as it
+reads, so every sum, product, power and number it meets is a Normal at
+once, and every public operation returns a Normal. Printing, numeric
+evaluation and substitution all read the pair, in the term order of
+``_layout``.
 
 Identity checking beyond literal cancellation is random-point identity
 probing: :func:`is_identically_zero` evaluates a value at seeded points of
@@ -41,8 +41,8 @@ from . import _poly
 from ._poly import Poly  # noqa: F401
 
 __all__ = [
-    "Expr", "Normal", "Rat", "Coord", "Const", "FuncApp", "KnownFunc", "Sum", "Product",
-    "Power", "FuncSymbol", "SymbolTable", "ZeroVerdict", "ProbeConfig",
+    "Expr", "Normal", "Coord", "Const", "FuncApp", "KnownFunc", "FuncSymbol",
+    "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
     "SubstitutionError", "ResourceLimitError",
     "parse", "to_string", "simplify", "differentiate", "substitute",
@@ -97,8 +97,8 @@ class ResourceLimitError(ExprError):
 # node types
 
 class Expr:
-    """Base class of values and input syntax; instances are immutable and
-    hashable, and every operator returns a Normal."""
+    """Base class of values and atoms; instances are immutable and hashable,
+    and every operator returns a Normal."""
 
     __slots__ = ()
 
@@ -119,13 +119,28 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return eprod((self, Power(_as_expr(other), -1)))
+        return eprod((self, _as_expr(other) ** -1))
 
     def __rtruediv__(self, other):
-        return eprod((other, Power(self, -1)))
+        return eprod((other, self ** -1))
 
     def __pow__(self, n: int):
-        return simplify(Power(self, n))
+        """The integer power n. A power that may expand past
+        MAX_EXPANSION_TERMS terms is a ResourceLimitError, and a negative
+        power of 0 an ExprError."""
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ExprError("exponents are restricted to integers")
+        base = _frac_of(self)
+        for p in base:
+            if abs(n) > 1 and _power_term_bound(p, abs(n)) > MAX_EXPANSION_TERMS:
+                raise ResourceLimitError(
+                    f"power {n} of a {len(p)}-term polynomial may "
+                    f"expand past {MAX_EXPANSION_TERMS} terms"
+                )
+        try:
+            return Normal(_poly.f_pow(base, n))
+        except ZeroDivisionError:
+            raise ExprError("division by an identically zero expression") from None
 
     def __neg__(self):
         return eprod((-1, self))
@@ -137,7 +152,7 @@ class Expr:
 class Normal(Expr):
     """A canonical value: the reduced (num, den) pair of polynomials over the
     opaque atoms, as _poly.f_make leaves it. Two values are equal exactly
-    when their pairs are; a Normal never equals an input-syntax tree."""
+    when their pairs are; a Normal never equals an atom."""
 
     __slots__ = ("num", "den", "__weakref__")
 
@@ -152,15 +167,6 @@ class Normal(Expr):
 
     def __repr__(self):
         return f"Normal({to_string(self)!r})"
-
-
-@dataclass(frozen=True)
-class Rat(Expr):
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -210,41 +216,16 @@ class KnownFunc(Expr):
             raise ExprError(f"unknown built-in function {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-@dataclass(frozen=True)
-class Product(Expr):
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-
-@dataclass(frozen=True)
-class Power(Expr):
-    base: Expr
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise ExprError("exponents are restricted to integers")
-
-
 ZERO = Normal(_poly.F_ZERO)
 ONE = Normal(_poly.F_ONE)
 
 
 def _as_expr(x) -> Expr:
+    """x itself, or the constant value of a number."""
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Rat(Fraction(x))
+        return Normal((_poly.p_const(x), _poly.p_one()))
     raise ExprError(f"cannot coerce {x!r} to an expression")
 
 
@@ -270,11 +251,9 @@ class _AtomKey(tuple):
 
 
 def _frac_of(e: Expr):
-    """The reduced (num, den) pair of a value or of an input-syntax tree."""
+    """The reduced (num, den) pair of a value or of an atom."""
     if isinstance(e, Normal):
         return e.num, e.den
-    if isinstance(e, Rat):
-        return _poly.p_const(e.value), _poly.p_one()
     if isinstance(e, FuncApp):
         arg = simplify(e.arg)
         if e.func.body is not None:
@@ -284,22 +263,6 @@ def _frac_of(e: Expr):
         e = KnownFunc(e.kind, simplify(e.arg))
     if isinstance(e, (Coord, Const, FuncApp, KnownFunc)):
         return _poly.p_atom(_AtomKey(e)), _poly.p_one()
-    if isinstance(e, (Sum, Product)):
-        value = esum(e.terms) if isinstance(e, Sum) else eprod(e.factors)
-        return value.num, value.den
-    if isinstance(e, Power):
-        base = _frac_of(e.base)
-        n = abs(e.exponent)
-        for p in base:
-            if n > 1 and _power_term_bound(p, n) > MAX_EXPANSION_TERMS:
-                raise ResourceLimitError(
-                    f"power {e.exponent} of a {len(p)}-term polynomial may "
-                    f"expand past {MAX_EXPANSION_TERMS} terms"
-                )
-        try:
-            return _poly.f_pow(base, e.exponent)
-        except ZeroDivisionError:
-            raise ExprError("division by an identically zero expression") from None
     raise ExprError(f"unsupported node {type(e).__name__}")
 
 
@@ -369,8 +332,7 @@ def simplify(e: Expr) -> Normal:
 def esum(terms: Iterable) -> Normal:
     """The canonical sum of terms, built as one value. A term is an expression
     or a number, or a tuple of them that stands for their product; a term
-    with a zero factor adds nothing. A number becomes a constant pair
-    without a Rat node.
+    with a zero factor adds nothing. A number becomes a constant pair.
 
     Products and the sum run on the factors' stored (num, den) pairs. A
     product is left unreduced. Numerators over the running denominator (1
@@ -418,19 +380,19 @@ def _known_derivative(kind: str, arg: Expr) -> Expr:
     if kind == "sin":
         return KnownFunc("cos", arg)
     if kind == "cos":
-        return Product((Rat(-1), KnownFunc("sin", arg)))
+        return -KnownFunc("sin", arg)
     if kind == "sinh":
         return KnownFunc("cosh", arg)
     if kind == "cosh":
         return KnownFunc("sinh", arg)
     if kind == "tan":
-        return Sum((ONE, Power(KnownFunc("tan", arg), 2)))
+        return 1 + KnownFunc("tan", arg) ** 2
     if kind == "exp":
         return KnownFunc("exp", arg)
     if kind == "log":
-        return Power(arg, -1)
+        return arg ** -1
     if kind == "sqrt":
-        return Product((Rat(Fraction(1, 2)), Power(KnownFunc("sqrt", arg), -1)))
+        return eprod((Fraction(1, 2), KnownFunc("sqrt", arg) ** -1))
     raise ExprError(f"no derivative rule for {kind!r}")
 
 
@@ -546,8 +508,8 @@ def substitute(e: Expr, bindings: Mapping) -> Normal:
     instances, or plain coordinate/constant names.
 
     Each atom of the (num, den) pair is mapped once, and the terms of
-    _layout are summed again by esum; each power of a replacement goes
-    through _frac_of, which checks MAX_EXPANSION_TERMS before it expands.
+    _layout are summed again by esum; each power of a replacement checks
+    MAX_EXPANSION_TERMS before it expands.
     """
     func_b: dict = {}
     name_b: dict = {}
@@ -584,11 +546,11 @@ def substitute(e: Expr, bindings: Mapping) -> Normal:
                   for key in _poly.p_atoms(n.num) | _poly.p_atoms(n.den)}
 
         def total(terms):
-            return esum((coef,) + tuple(mapped[k] if e == 1 else Power(mapped[k], e)
+            return esum((coef,) + tuple(mapped[k] if e == 1 else mapped[k] ** e
                                         for k, e in mono) for coef, mono in terms)
 
         terms, rest = _layout(n)
-        return total(terms) if rest is None else eprod((total(terms), Power(total(rest), -1)))
+        return total(terms) if rest is None else eprod((total(terms), total(rest) ** -1))
 
     return replaced(simplify(e))
 
@@ -642,8 +604,8 @@ def _plan_terms(terms) -> tuple:
     )
 
 
-def _power(b: float, e: int, epsilon: float) -> float:
-    if e < 0 and abs(b) <= epsilon:
+def _power(b: float, e: int) -> float:
+    if e < 0 and abs(b) <= DEFAULT_EPSILON:
         raise SingularPointError(f"denominator magnitude {abs(b):.3e} below epsilon")
     try:
         return b ** e
@@ -651,9 +613,9 @@ def _power(b: float, e: int, epsilon: float) -> float:
         raise SingularPointError(_OVERFLOW) from None
 
 
-def _builtin(kind: str, a: float, epsilon: float) -> float:
+def _builtin(kind: str, a: float) -> float:
     if kind == "log":
-        if a <= epsilon:
+        if a <= DEFAULT_EPSILON:
             raise SingularPointError("log argument not positive")
         return math.log(a)
     if kind == "sqrt":
@@ -666,42 +628,43 @@ def _builtin(kind: str, a: float, epsilon: float) -> float:
         raise SingularPointError(_OVERFLOW) from None
 
 
-def _sum(terms: tuple, env: Mapping, epsilon: float) -> float:
+def _sum(terms: tuple, env: Mapping) -> float:
     values = []
     for coef, factors in terms:
         r = _finite(coef)
         for key, e, arg in factors:
             if arg is not None:
-                x = _builtin(key, _value_at(arg, env, epsilon), epsilon)
+                x = _builtin(key, _value_at(arg, env))
             else:
                 try:
                     x = env[key]
                 except KeyError:
                     name = key[0] + "'" * key[1] if isinstance(key, tuple) else repr(key)
                     raise EvalError(f"no binding for {name}") from None
-            r *= x if e == 1 else _power(x, e, epsilon)
+            r *= x if e == 1 else _power(x, e)
         values.append(_finite(r))
     return values[0] if len(values) == 1 else _finite(sum(values, 0.0))
 
 
-def _value_at(plan: tuple, env: Mapping, epsilon: float) -> float:
+def _value_at(plan: tuple, env: Mapping) -> float:
     """The value of a _plan at env: the terms multiplied out in order, the
     coefficient first, summed, and then times rest ** -1. A denominator
-    within epsilon of 0, or a value past a double, is a SingularPointError."""
+    within DEFAULT_EPSILON of 0, or a value past a double, is a
+    SingularPointError."""
     terms, rest = plan
-    value = _sum(terms, env, epsilon)
+    value = _sum(terms, env)
     if rest is None:
         return value
-    return _finite(value * _power(_sum(rest, env, epsilon), -1, epsilon))
+    return _finite(value * _power(_sum(rest, env), -1))
 
 
-def eval_numeric(e: Expr, point: Mapping, epsilon: float = DEFAULT_EPSILON) -> float:
+def eval_numeric(e: Expr, point: Mapping) -> float:
     """IEEE double evaluation of the normal form of e at a point.
 
     The (num, den) pair is laid out once (_plan) and evaluated term by term
     in _layout's order, so a value comes out bit for bit the same whichever
-    caller evaluates it. A denominator within epsilon of 0, a log or sqrt
-    outside its domain, or a value that overflows a double raises
+    caller evaluates it. A denominator within DEFAULT_EPSILON of 0, a log or
+    sqrt outside its domain, or a value that overflows a double raises
     SingularPointError.
 
     Point keys: coordinate/constant names, function names with primes
@@ -721,7 +684,7 @@ def eval_numeric(e: Expr, point: Mapping, epsilon: float = DEFAULT_EPSILON) -> f
             else:
                 env[key] = value
                 env[(key, 0)] = value
-    return _value_at(_plan(e), env, epsilon)
+    return _value_at(_plan(e), env)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +813,7 @@ def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVer
     for candidates in _probe_points(_probe_symbols(s), cfg):
         for env, labeled in candidates:
             try:
-                value = _value_at(plan, env, DEFAULT_EPSILON)
+                value = _value_at(plan, env)
             except SingularPointError:
                 continue
             if abs(value) > cfg.zero_tol:
@@ -866,13 +829,12 @@ class SymbolTable:
     """Declared coordinates and function symbols for the surface syntax.
 
     Bare identifiers that are neither coordinates nor declared functions
-    parse as named constants and are recorded in ``consts``.
+    parse as named constants.
     """
 
     def __init__(self, coords: Iterable[str] = (), funcs: Iterable[FuncSymbol] = ()):
         self.coords: list = []
         self.funcs: dict = {}
-        self.consts: set = set()
         for c in coords:
             self.declare_coord(c)
         for f in funcs:
@@ -895,14 +857,6 @@ class SymbolTable:
     def _check_name(self, name: str):
         if name in KNOWN_FUNCTIONS:
             raise ExprError(f"{name!r} is a reserved function name")
-
-    @classmethod
-    def default_gks(cls) -> "SymbolTable":
-        t = cls(coords=("t", "r", "theta", "phi"))
-        t.declare_func(FuncSymbol("X", "t"))
-        t.declare_func(FuncSymbol("Y", "t"))
-        t.declare_func(FuncSymbol("f", "theta"))
-        return t
 
 
 def _tokenize(text: str):
@@ -942,6 +896,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that folds as it reads: every sum, product, power
+    and number is a Normal as soon as it is read, and a lone atom stays an
+    atom. An error in the value, such as a division by 0, is raised where it
+    is read, so the first error from left to right wins."""
+
     def __init__(self, text: str, symbols: SymbolTable):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -977,10 +936,10 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.next()
                 t = self.term()
-                terms.append(t if value == "+" else Product((Rat(-1), t)))
+                terms.append(t if value == "+" else (-1, t))
             else:
                 break
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        return terms[0] if len(terms) == 1 else esum(terms)
 
     def term(self) -> Expr:
         factors = [self.factor()]
@@ -989,10 +948,10 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.next()
                 f = self.factor()
-                factors.append(f if value == "*" else Power(f, -1))
+                factors.append(f if value == "*" else f ** -1)
             else:
                 break
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return factors[0] if len(factors) == 1 else eprod(factors)
 
     def factor(self) -> Expr:
         # every nesting level of the grammar passes through here
@@ -1009,7 +968,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return Product((Rat(-1), self.factor()))
+            return -self.factor()
         a = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -1023,7 +982,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", offset)
             self.next()
-            return Power(a, sign * int(value))
+            return a ** (sign * int(value))
         return a
 
     def atom(self) -> Expr:
@@ -1037,8 +996,8 @@ class _Parser:
                 _, den, o3 = self.next()
                 if int(den) == 0:
                     raise ParseError("zero denominator in rational", o3)
-                return Rat(Fraction(num, int(den)))
-            return Rat(Fraction(num))
+                return _as_expr(Fraction(num, int(den)))
+            return _as_expr(num)
         if kind == "op" and value == "(":
             self.next()
             e = self.expr()
@@ -1081,14 +1040,11 @@ class _Parser:
             raise ParseError(f"unknown function name {name!r}", offset)
         if name in table.coords:
             return Coord(name)
-        table.consts.add(name)
         return Const(name)
 
 
-def parse(text: str, symbols: Optional[SymbolTable] = None) -> Normal:
+def parse(text: str, symbols: SymbolTable) -> Normal:
     """Parse surface syntax into its canonical value."""
-    if symbols is None:
-        symbols = SymbolTable.default_gks()
     return simplify(_Parser(text, symbols).parse())
 
 

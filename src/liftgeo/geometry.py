@@ -15,7 +15,7 @@ from .expr import (
 __all__ = [
     "Chart", "Frame", "Metric", "GeometryError", "DegenerateMetricError",
     "MetricFileError", "inverse", "determinant", "validate",
-    "parse_metric_document", "load_metric_document", "MetricDocument",
+    "parse_metric_document", "load_metric_document",
 ]
 
 
@@ -264,14 +264,8 @@ class MetricFileError(GeometryError):
         self.line = line
 
 
-@dataclass
-class MetricDocument:
-    metric: Metric
-    symbols: SymbolTable
-
-
-def parse_metric_document(text: str) -> MetricDocument:
-    """Parse the line-oriented metric definition format.
+def parse_metric_document(text: str) -> Metric:
+    """Parse the line-oriented metric definition format into its metric.
 
     chart t r theta phi
     func X(t) abstract
@@ -328,10 +322,10 @@ def parse_metric_document(text: str) -> MetricDocument:
             except ex.ExprError as err:
                 raise MetricFileError(str(err), lineno) from None
         elif kind == "const":
+            # the line only documents: an undeclared name parses as a constant
             for name in fields[1:]:
                 if name in ex.KNOWN_FUNCTIONS:
                     raise MetricFileError(f"{name!r} is a reserved function name", lineno)
-                symbols.consts.add(name)
         elif kind == "g":
             if chart is None:
                 raise MetricFileError("g line before chart line", lineno)
@@ -362,10 +356,9 @@ def parse_metric_document(text: str) -> MetricDocument:
             raise MetricFileError(f"unknown directive {kind!r}", lineno)
     if chart is None:
         raise MetricFileError("missing chart line", 1)
-    metric = Metric.from_entries(chart, entries)
-    return MetricDocument(metric=metric, symbols=symbols)
+    return Metric.from_entries(chart, entries)
 
 
-def load_metric_document(path) -> MetricDocument:
+def load_metric_document(path) -> Metric:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_metric_document(fh.read())

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 from . import expr as ex
 from .expr import (
     Const, Coord, Expr, FuncSymbol, KnownFunc, ProbeConfig, SymbolTable, ZERO,
-    equivalent, esum, eprod, parse, simplify,
+    equivalent, esum, eprod, parse,
 )
 from .expr import to_string  # noqa: F401  (bench/workloads.py digests through gks.to_string)
 from .geometry import Chart, Metric, inverse
@@ -210,8 +210,8 @@ def _t_body(kind: str, const_name: str) -> Expr:
     if kind == "t":
         return t
     if kind == "t2":
-        return simplify(ex.Power(t, 2))
-    return simplify(ex.Sum((ex.ONE, ex.Power(t, 2))))  # 1 + t^2
+        return t ** 2
+    return 1 + t ** 2
 
 
 def _corpus_spec(hat: str, consts: str, i: int, x_kind: str, y_kind: str, f_kind: str) -> GksSpec:
@@ -254,20 +254,17 @@ def corpus_pairs(seed: int = 0, count: int = 20) -> list:
 # ---------------------------------------------------------------------------
 # transcribed reference tables
 
-def _ref_symbols() -> SymbolTable:
-    table = SymbolTable(coords=("t", "r", "theta", "phi",
-                                "u1", "u2", "u3", "u4"))
-    table.declare_func(FuncSymbol("X", "t"))
-    table.declare_func(FuncSymbol("Y", "t"))
-    table.declare_func(FuncSymbol("f", "theta"))
-    table.declare_func(FuncSymbol("Xh", "t"))
-    table.declare_func(FuncSymbol("Yh", "t"))
-    table.declare_func(FuncSymbol("fh", "theta"))
-    return table
+# parsing reads a table and never changes it, so one serves every entry
+_REF_SYMBOLS = SymbolTable(
+    coords=("t", "r", "theta", "phi", "u1", "u2", "u3", "u4"),
+    funcs=(FuncSymbol(name, var) for name, var in (
+        ("X", "t"), ("Y", "t"), ("f", "theta"), ("Xh", "t"), ("Yh", "t"), ("fh", "theta"),
+    )),
+)
 
 
 def _ref(text: str) -> Expr:
-    return parse(text, _ref_symbols())
+    return parse(text, _REF_SYMBOLS)
 
 
 # nonzero Levi-Civita coefficients of the abstract family (stored i <= j)

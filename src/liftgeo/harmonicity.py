@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import Expr, ProbeConfig, ZERO, esum
-from .geometry import Chart, Frame, GeometryError, Metric, inverse
+from .geometry import Frame, GeometryError, Metric, inverse
 from .connection import Connection, christoffel
 from .lifts import LiftKind, lift_connection, lift_metric
 
@@ -38,7 +38,6 @@ class Verdict:
 class HarmonicityReport:
     """Per-upper-index trace residuals with a sound three-way verdict."""
 
-    chart: Chart
     residuals: Mapping  # display index label -> Expr
     verdict: Verdict
     notes: tuple = ()
@@ -47,7 +46,7 @@ class HarmonicityReport:
         return self.residuals.get(label, ZERO)
 
 
-def _judge(chart: Chart, residuals: dict, notes, cfg: ProbeConfig) -> HarmonicityReport:
+def _judge(residuals: dict, notes, cfg: ProbeConfig) -> HarmonicityReport:
     undecided = []
     for label, rho in residuals.items():
         v = ex.is_identically_zero(rho, cfg=cfg)
@@ -55,14 +54,14 @@ def _judge(chart: Chart, residuals: dict, notes, cfg: ProbeConfig) -> Harmonicit
             verdict = Verdict(
                 "not_harmonic", index=label, witness=v.witness, value=v.value
             )
-            return HarmonicityReport(chart, residuals, verdict, tuple(notes))
+            return HarmonicityReport(residuals, verdict, tuple(notes))
         if v.is_unknown:
             undecided.append(label)
     if undecided:
         verdict = Verdict("undecided", undecided_indices=tuple(undecided))
     else:
         verdict = Verdict("harmonic")
-    return HarmonicityReport(chart, residuals, verdict, tuple(notes))
+    return HarmonicityReport(residuals, verdict, tuple(notes))
 
 
 def harmonicity_residuals(
@@ -111,7 +110,7 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
         )
         for k in range(n)
     }
-    return _judge(g.chart, residuals, notes, cfg)
+    return _judge(residuals, notes, cfg)
 
 
 def lifted_harmonicity(

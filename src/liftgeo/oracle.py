@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Coord, Expr, FuncSymbol, Power, ProbeConfig, ZERO,
+    Coord, Expr, FuncSymbol, ProbeConfig, ZERO,
     SingularPointError, differentiate, simplify, substitute, to_string,
 )
 
@@ -47,7 +47,7 @@ def _polynomial_standin(func: FuncSymbol, rng: random.Random) -> Expr:
     """
     x = Coord(func.var)
     # each coefficient in [1/2, 2]
-    return ex.esum((Fraction(rng.randint(4, 16), 8), Power(x, degree)) for degree in range(5))
+    return ex.esum((Fraction(rng.randint(4, 16), 8), x ** degree) for degree in range(5))
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ def concretize(e: Expr, cfg: ProbeConfig = ProbeConfig()) -> Expr:
 def _central_difference(plan, env: dict, v: str, h: float) -> float:
     env_p = dict(env)
     env_p[v] = env[v] + h
-    hi_val = ex._value_at(plan, env_p, ex.DEFAULT_EPSILON)
+    hi_val = ex._value_at(plan, env_p)
     env_p[v] = env[v] - h
-    lo_val = ex._value_at(plan, env_p, ex.DEFAULT_EPSILON)
+    lo_val = ex._value_at(plan, env_p)
     return (hi_val - lo_val) / (2 * h)
 
 
@@ -107,7 +107,7 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     for candidates in ex._probe_points(symbols, cfg):
         for env, _ in candidates:
             try:
-                exact = ex._value_at(analytic, env, ex.DEFAULT_EPSILON)
+                exact = ex._value_at(analytic, env)
                 coarse = _central_difference(concrete, env, v, h)
                 fine = _central_difference(concrete, env, v, h / 2)
             except SingularPointError:

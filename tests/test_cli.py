@@ -302,6 +302,16 @@ def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_first_error_from_the_left_wins(tmp_path, capsys):
+    # the parser folds each term as it reads it, so the division by 0 is
+    # found before the stray ')' after it
+    p = tmp_path / "zero.metric"
+    p.write_text("chart t x\ng 1 1 = t/(t-t) + )\ng 2 2 = 1\n")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: division by an identically zero expression\n"
+
+
 def test_bad_seed_in_environment_is_usage_error(files, capsys, monkeypatch):
     monkeypatch.setenv("LIFTGEO_SEED", "abc")
     code, _, err = run(capsys, "christoffel", files["flat"])
@@ -343,7 +353,7 @@ def test_verify_substitutes_stand_ins_once_per_target(tmp_path, capsys, monkeypa
 
     p = tmp_path / "m.metric"
     p.write_text(GKS_FILE.replace("func Y(t) abstract", "func Y(t) = t"))
-    conn = christoffel(load_metric_document(str(p)).metric)
+    conn = christoffel(load_metric_document(str(p)))
     targets = list(conn.coefficients.values()) + list(riemann(conn).components.values())
     abstract = [v for v in targets
                 if any(isinstance(a, FuncApp) and a.func.is_abstract for a in _atoms(v))]

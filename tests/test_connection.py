@@ -201,19 +201,3 @@ def test_christoffel_assembles_each_component_once(monkeypatch):
     conn = connection._christoffel(lifted, ginv)
     assert len(calls) <= 100
     assert all(v == ZERO for v in metric_compatibility_residual(lifted, conn).values())
-
-
-def test_tensors_are_built_without_syntax_trees(monkeypatch):
-    # every component is assembled on (num, den) pairs: no Sum or Product
-    # node is made, not even for display
-    from liftgeo import expr
-    from liftgeo.gks import abstract_spec, build_gks
-
-    g = build_gks(abstract_spec())
-    made = []
-    for cls in (expr.Sum, expr.Product):
-        post_init = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, post_init=post_init: made.append(self) or post_init(self))
-    riemann(christoffel(g))
-    assert made == []

@@ -205,8 +205,7 @@ g 4 4 = -Y(t)^2 * f(theta)^2
 
 
 def test_metric_file_round_trip():
-    doc = parse_metric_document(DOC)
-    m = doc.metric
+    m = parse_metric_document(DOC)
     assert m.chart.coords == ("t", "r", "theta", "phi")
     assert m.entry(0, 0) == ref("1")
     assert m.entry(1, 1) == ref("-X(t)^2")
@@ -217,13 +216,13 @@ def test_metric_file_round_trip():
 
 
 def test_metric_file_mirrors_offdiagonal():
-    doc = parse_metric_document("chart t r\ng 1 2 = t\n")
-    assert doc.metric.entry(0, 1) == doc.metric.entry(1, 0) == ref("t")
+    m = parse_metric_document("chart t r\ng 1 2 = t\n")
+    assert m.entry(0, 1) == m.entry(1, 0) == ref("t")
 
 
 def test_metric_file_tolerates_equal_duplicates():
-    doc = parse_metric_document("chart t r\ng 1 2 = t\ng 2 1 = t\n")
-    assert doc.metric.entry(1, 0) == ref("t")
+    m = parse_metric_document("chart t r\ng 1 2 = t\ng 2 1 = t\n")
+    assert m.entry(1, 0) == ref("t")
 
 
 def test_metric_file_conflicting_assignment():
@@ -249,9 +248,11 @@ def test_metric_file_errors():
 
 
 def test_metric_file_const_declaration():
-    doc = parse_metric_document("chart t r\nconst c1\ng 1 1 = c1^2\ng 2 2 = 1\n")
-    assert "c1" in doc.symbols.consts
-    assert doc.metric.entry(0, 0) == ref("c1^2")
+    # the line only documents; it still rejects a reserved name
+    m = parse_metric_document("chart t r\nconst c1\ng 1 1 = c1^2\ng 2 2 = 1\n")
+    assert m.entry(0, 0) == ref("c1^2")
+    with pytest.raises(MetricFileError, match="line 2: 'sin' is a reserved"):
+        parse_metric_document("chart t r\nconst c1 sin\ng 1 1 = 1\n")
 
 
 def test_expressions_reference_only_known_text(gks_metric):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftgeo import _poly
 from liftgeo.expr import ZERO, SymbolTable, equivalent, parse, simplify
 from liftgeo.geometry import Chart, GeometryError, Metric
 from liftgeo.harmonicity import harmonicity_residuals, lifted_harmonicity
@@ -11,28 +12,26 @@ from liftgeo.lifts import LiftKind, lift_metric
 from conftest import ref
 
 
-# diagonal entries only: off-diagonal pairs can make the gcd of one trace
-# run for minutes
+# off-diagonal pairs are slower; DENSE_PAIRS below covers three of them
 DIAGONAL_ENTRIES = ["1", "-3", "t", "1+t^2", "exp(t)", "2+sin(x)", "1+t*x", "x^2+1"]
 PLANE = Chart(("t", "x"))
 PLANE_SYMBOLS = SymbolTable(coords=PLANE.coords)
 
 
-def diagonal_metric(g11: str, g22: str) -> Metric:
+def plane_metric(g11: str, g12: str, g22: str) -> Metric:
     return Metric.from_entries(PLANE, {
-        (0, 0): parse(g11, PLANE_SYMBOLS), (1, 1): parse(g22, PLANE_SYMBOLS),
+        (0, 0): parse(g11, PLANE_SYMBOLS), (0, 1): parse(g12, PLANE_SYMBOLS),
+        (1, 1): parse(g22, PLANE_SYMBOLS),
     })
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.tuples(*[st.sampled_from(DIAGONAL_ENTRIES)] * 4))
-def test_lifted_traces_are_a_linear_image_of_the_base_traces(entries):
-    # Sasaki and horizontal: rho^k on the base indices, 0 on the barred ones;
-    # complete: 0 on the base indices, 2 rho^k on the barred ones
-    g, d = diagonal_metric(*entries[:2]), diagonal_metric(*entries[2:])
+def assert_lift_identities(g: Metric, d: Metric, known: dict):
+    """Sasaki and horizontal: rho^k on the base indices, 0 on the barred
+    ones; complete: 0 on the base indices, 2 rho^k on the barred ones.
+    known holds lifted reports already built, by kind."""
     base = harmonicity_residuals(g, d)
     for kind in LiftKind:
-        lifted = lifted_harmonicity(g, d, kind)
+        lifted = known.get(kind) or lifted_harmonicity(g, d, kind)
         for k in ("1", "2"):
             rho = base.residual(k)
             if kind is LiftKind.COMPLETE:
@@ -41,6 +40,49 @@ def test_lifted_traces_are_a_linear_image_of_the_base_traces(entries):
             else:
                 assert lifted.residual(k) == rho
                 assert lifted.residual(f"{k}bar") == ZERO
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.sampled_from(DIAGONAL_ENTRIES)] * 4))
+def test_lifted_traces_are_a_linear_image_of_the_base_traces(entries):
+    g11, g22, d11, d22 = entries
+    assert_lift_identities(plane_metric(g11, "0", g22), plane_metric(d11, "0", d22), {})
+
+
+# (g11, g12, g22) pairs whose Sasaki traces need a gcd of dense polynomials,
+# with the pseudo-remainders each takes there; the largest remainder operands
+# hold 177, 41 and 85 terms
+DENSE_PAIRS = [
+    (("t^3", "sin(x)", "2+x"), ("1+t*x", "x^2", "-exp(t)"), 1666),
+    (("1+t*x", "x^2", "-exp(t)"), ("t^3", "sin(x)", "2+x"), 780),
+    (("exp(t)", "t", "2+sin(x)"), ("2+sin(x)", "x", "1+t^2"), 856),
+]
+PREM_BUDGET = 2500
+PREM_TERMS = 400
+
+
+@pytest.mark.parametrize("g_entries, d_entries, prems", DENSE_PAIRS,
+                         ids=["dense", "dense-reversed", "exp-sin"])
+def test_gcd_stays_bounded_on_dense_pairs(g_entries, d_entries, prems, monkeypatch):
+    # counts, not a wall time: the budgets stop a run-away remainder sequence
+    # long before it would finish, by its length or by the size of its terms
+    calls = []
+    prem = _poly._prem
+
+    def counting(a, b):
+        calls.append(None)
+        if len(calls) > PREM_BUDGET:
+            raise AssertionError(f"more than {PREM_BUDGET} pseudo-remainders")
+        if sum(map(len, a)) + sum(map(len, b)) > PREM_TERMS:
+            raise AssertionError(f"a pseudo-remainder of more than {PREM_TERMS} terms")
+        return prem(a, b)
+
+    g, d = plane_metric(*g_entries), plane_metric(*d_entries)
+    monkeypatch.setattr(_poly, "_prem", counting)
+    sasaki = lifted_harmonicity(g, d, LiftKind.SASAKI)
+    monkeypatch.undo()
+    assert len(calls) == prems
+    assert_lift_identities(g, d, {LiftKind.SASAKI: sasaki})
 
 
 def test_residuals_of_equal_pair(gks_metric, sphere_metric):
