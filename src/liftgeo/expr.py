@@ -767,7 +767,7 @@ class ProbeConfig:
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
         if not 0 < self.zero_tol < math.inf:
-            raise ValueError("tolerances and steps must be positive and finite")
+            raise ValueError("zero_tol must be positive and finite")
 
 
 _MAX_REDRAWS = 8

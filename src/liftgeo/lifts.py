@@ -6,7 +6,11 @@ the base direction x^(i+1) and slot i + m is the fiber direction u^(i+1)
 (written with a bar in reports). Sasaki and horizontal connections are the
 known closed forms in the frame adapted to the base connection; that frame
 is anholonomic, so they are taken as given rather than pushed through the
-coordinate Christoffel formula. The complete lift lives in genuine induced
+coordinate Christoffel formula. Both start from one base block, Gamma^k_ij
+and its fiber copy; the Sasaki connection adds its curvature slots, one
+fiber contraction 1/2 R^k_hij u^h per (k, i, j) shared by the slots
+(ibar, j) and (j, ibar), and Gamma^kbar_ij = -1/2 R^k_ij0 read from
+fiber_contract. The complete lift lives in genuine induced
 coordinates and its connection is always recomputed generically.
 """
 
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from .expr import Coord, ProbeConfig, ZERO, esum, differentiate
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
-from .connection import Connection, Riemann, christoffel, riemann
+from .connection import Connection, Riemann, christoffel, fiber_contract, riemann
 
 __all__ = ["LiftKind", "lift_metric", "lift_connection"]
 
@@ -71,39 +75,33 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     return Metric.from_entries(tchart, entries, frame)
 
 
+def _base_block(conn: Connection, shift: int) -> dict:
+    """Gamma^k_ij on ordered lower pairs and its copy Gamma^(k+shift)_{i jbar}:
+    the fiber copy is barred above for Sasaki (shift m), not for horizontal."""
+    m = conn.chart.dim
+    coeffs: dict = {}
+    for (k, i, j), gam in conn.items():
+        for a, b in {(i, j), (j, i)}:
+            coeffs[(k, a, b)] = gam
+            coeffs[(k + shift, a, b + m)] = gam
+    return coeffs
+
+
 def _sasaki_connection(tchart: Chart, conn: Connection, riem: Riemann) -> Connection:
     m = conn.chart.dim
     fibers = [Coord(u) for u in tchart.coords[m:]]
     half = Fraction(1, 2)
-    coeffs: dict = {}
-    for (k, i, j), gam in conn.items():
-        pairs = [(i, j)] if i == j else [(i, j), (j, i)]
-        for a, b in pairs:
-            coeffs[(k, a, b)] = gam              # Gamma^k_ij
-            coeffs[(k + m, a, b + m)] = gam      # Gamma^kbar_{i jbar}
+    coeffs = _base_block(conn, m)
+    # Gamma^k_{ibar j} = Gamma^k_{j ibar} = 1/2 R^k_hij u^h, one sum for both
     for k in range(m):
         for i in range(m):
             for j in range(m):
-                # Gamma^k_{i jbar} = 1/2 R^k_hji u^h
-                coeffs[(k, i, j + m)] = esum(
-                    (half, u, riem.get(k, h, j, i)) for h, u in enumerate(fibers))
-                # Gamma^k_{ibar j} = 1/2 R^k_hij u^h
-                coeffs[(k, i + m, j)] = esum(
+                coeffs[(k, i + m, j)] = coeffs[(k, j, i + m)] = esum(
                     (half, u, riem.get(k, h, i, j)) for h, u in enumerate(fibers))
-                # Gamma^kbar_ij = -1/2 R^k_ijh u^h
-                coeffs[(k + m, i, j)] = esum(
-                    (-half, u, riem.get(k, i, j, h)) for h, u in enumerate(fibers))
-    return Connection(tchart, coeffs, Frame.ADAPTED)
-
-
-def _horizontal_connection(tchart: Chart, conn: Connection) -> Connection:
-    m = conn.chart.dim
-    coeffs: dict = {}
-    for (k, i, j), gam in conn.items():
-        pairs = [(i, j)] if i == j else [(i, j), (j, i)]
-        for a, b in pairs:
-            coeffs[(k, a, b)] = gam              # Gamma^k_ij
-            coeffs[(k, a, b + m)] = gam          # Gamma^k_{i jbar}
+    # Gamma^kbar_ij = -1/2 R^k_ij0, antisymmetric in (i, j); stored for i < j
+    for (k, i, j), r0 in fiber_contract(riem).items():
+        coeffs[(k + m, i, j)] = r0 * -half
+        coeffs[(k + m, j, i)] = r0 * half
     return Connection(tchart, coeffs, Frame.ADAPTED)
 
 
@@ -122,5 +120,5 @@ def lift_connection(
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     conn = christoffel(g, cfg=cfg)
     if kind is LiftKind.HORIZONTAL:
-        return _horizontal_connection(tchart, conn)
+        return Connection(tchart, _base_block(conn, 0), Frame.ADAPTED)
     return _sasaki_connection(tchart, conn, riemann(conn))

@@ -408,3 +408,24 @@ def test_overflow_at_a_probe_point_is_a_singular_point(tmp_path, capsys, text, c
     assert "Traceback" not in err
     if code:
         assert out == "" and "cannot certify nondegeneracy" in err
+
+
+def test_verify_names_each_failing_bianchi_triple_once(files, capsys, monkeypatch):
+    from liftgeo import cli
+    from liftgeo.connection import Riemann, riemann
+    from liftgeo.expr import Coord
+
+    def perturbed(conn):
+        # R^1_1,2,3 moves, so the cyclic sum over (1, 2, 3) at h = 1 is t
+        real = riemann(conn)
+        comps = dict(real.components)
+        comps[(0, 0, 1, 2)] = real.get(0, 0, 1, 2) + Coord("t")
+        return Riemann(real.chart, comps)
+
+    monkeypatch.setattr(cli, "riemann", perturbed)
+    code, out, _ = run(capsys, "verify", files["gks"], "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    bianchi = checks["first Bianchi identity is symbolically zero"]
+    assert not bianchi["passed"]
+    assert bianchi["detail"] == "nonzero at [(1, 1, 2, 3)]"

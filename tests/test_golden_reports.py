@@ -46,6 +46,9 @@ def _requests():
     # denominator (ks against gks) and over monomial denominators (g1, ghat1)
     yield "harmonic-ks-gks", ["harmonic", path, "metrics/gks.metric"]
     yield "harmonic-g1-ghat1", ["harmonic", "metrics/g1.metric", "metrics/ghat1.metric"]
+    # the symbolic and finite-difference self-checks
+    for name in ("gks", "ks", "sphere"):
+        yield f"verify-{name}", ["verify", f"metrics/{name}.metric", "--seed", "5"]
     # every bundled reference scenario, the benchmark's paper-tables among them
     yield "paper-check-all", ["paper-check", "--scenario", "all", "--seed", "3"]
 

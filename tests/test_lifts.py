@@ -1,12 +1,18 @@
 """The three lift metrics and their connection tables."""
 
+from fractions import Fraction
+
 import pytest
 
+from liftgeo import lifts
 from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
-from liftgeo.geometry import Chart, Frame, GeometryError, Metric, inverse
+from liftgeo.geometry import (
+    Chart, Frame, GeometryError, Metric, inverse, parse_metric_document,
+)
+from liftgeo.gks import abstract_spec, build_gks
 from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 
 from conftest import identity_matrix, ref
@@ -207,3 +213,39 @@ def _expand_pairs(conn):
         yield (k, i, j), gamma
         if i != j:
             yield (k, j, i), gamma
+
+
+def test_sasaki_curvature_slots_match_the_closed_forms():
+    # off-diagonal base: every slot of the three curvature families is checked
+    # against its closed form (Yano-Ishihara) written out with riem.get
+    g = parse_metric_document(
+        "chart t x y\ng 1 1 = 1+t^2\ng 1 2 = x\ng 2 2 = 2+t\ng 2 3 = y\ng 3 3 = 3\n")
+    riem = riemann(christoffel(g))
+    assert len(riem.components) == 24
+    sconn = lift_connection(g, LiftKind.SASAKI)
+    fibers = [Coord(u) for u in ("u1", "u2", "u3")]
+    half = Fraction(1, 2)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                # Gamma^k_{i jbar} = 1/2 R^k_hji u^h
+                assert sconn.get(k, i, j + 3) == esum(
+                    (half, u, riem.get(k, h, j, i)) for h, u in enumerate(fibers))
+                # Gamma^k_{ibar j} = 1/2 R^k_hij u^h
+                assert sconn.get(k, i + 3, j) == esum(
+                    (half, u, riem.get(k, h, i, j)) for h, u in enumerate(fibers))
+                # Gamma^kbar_ij = -1/2 R^k_ijh u^h
+                assert sconn.get(k + 3, i, j) == esum(
+                    (-half, u, riem.get(k, i, j, h)) for h, u in enumerate(fibers))
+
+
+def test_sasaki_connection_sums_each_curvature_slot_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lifts, "esum", lambda terms: calls.append(1) or esum(terms))
+    sconn = lift_connection(build_gks(abstract_spec()), LiftKind.SASAKI)
+    # one sum per (k, i, j); the barred-upper slots come from fiber_contract
+    assert len(calls) == 4 ** 3
+    for k in range(4):
+        for i in range(4):
+            for j in range(4):
+                assert sconn.get(k, i + 4, j) is sconn.get(k, j, i + 4)
