@@ -704,7 +704,7 @@ _JET_INTERVAL = (-2.0, 2.0)
 
 
 def _is_fiber_name(name: str) -> bool:
-    return len(name) > 1 and name[0] == "u" and name[1:].isdigit()
+    return len(name) > 1 and name[0] == "u" and name[1:].isascii() and name[1:].isdigit()
 
 
 def probe_interval(label: str) -> tuple:
@@ -868,16 +868,16 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isascii() and c.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
-        if c.isalpha():
+        if c.isascii() and c.isalpha():
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j

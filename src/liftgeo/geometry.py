@@ -334,7 +334,7 @@ def parse_metric_document(text: str) -> Metric:
             if not eq:
                 raise MetricFileError("expected: g I J = EXPR", lineno)
             parts = lhs.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
                 raise MetricFileError("expected two 1-based indices after g", lineno)
             i, j = (int(p) for p in parts)
             n = chart.dim

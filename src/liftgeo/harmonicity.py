@@ -6,7 +6,8 @@ A metric d is harmonic with respect to g when the identity map
 rho^k = g^ij (dGamma^k_ij - Gamma^k_ij), so operationally d is harmonic
 with respect to g when every trace vanishes. The relation is not
 symmetric in (g, d): g supplies both the inverse and the subtracted
-connection.
+connection. On the tangent bundle the lifted traces are the base traces
+mapped through the lift identities, so no lifted quantity is built.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import Expr, ProbeConfig, ZERO, esum
-from .geometry import Frame, GeometryError, Metric, inverse
+from .geometry import Frame, GeometryError, Metric, _tangent_chart, inverse
 from .connection import Connection, christoffel
-from .lifts import LiftKind, lift_connection, lift_metric
+from .lifts import LiftKind
 
 __all__ = [
-    "Verdict", "HarmonicityReport", "harmonicity_residuals", "lifted_harmonicity",
+    "Verdict", "HarmonicityReport", "harmonicity_residuals", "lifted_report", "lifted_harmonicity",
 ]
 
 
@@ -74,8 +75,8 @@ def harmonicity_residuals(
 
     Both metrics must be natural-coordinate metrics on one chart; their
     connections come from christoffel. Adapted-frame pairs (Sasaki and
-    horizontal lifts) are judged by lifted_harmonicity, which supplies the
-    lifted connections.
+    horizontal lifts) are judged by lifted_harmonicity, which reads their
+    traces from the base traces.
     """
     if g.chart != d.chart:
         raise GeometryError("metrics live on different charts")
@@ -88,11 +89,11 @@ def harmonicity_residuals(
         )
     conn_g = christoffel(g, cfg=cfg)
     conn_d = christoffel(d, cfg=cfg)
-    return _trace(g, conn_g, conn_d, cfg, ())
+    return _trace(g, conn_g, conn_d, cfg)
 
 
 def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
-           cfg: ProbeConfig, notes) -> HarmonicityReport:
+           cfg: ProbeConfig) -> HarmonicityReport:
     """Judge the traces g^ij (conn_d - conn_g)^k_ij of every upper index k."""
     ginv = inverse(g, cfg=cfg)
     n = g.dim
@@ -110,6 +111,24 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
         )
         for k in range(n)
     }
+    return _judge(residuals, (), cfg)
+
+
+def lifted_report(base: HarmonicityReport, kind: LiftKind, cfg: ProbeConfig) -> HarmonicityReport:
+    """The lifted pair's report from the base pair's report by the lift
+    identities (Yano-Ishihara, 1973): the traces over 1..m, 1bar..mbar are
+    (rho, 0) for Sasaki and horizontal and (0, 2 rho) for complete. The
+    sasaki, horizontal and complete scenarios check them on the abstract
+    family against the generic traces of the lifted metric and connections.
+    """
+    complete = kind is LiftKind.COMPLETE
+    residuals = {k: ZERO if complete else rho for k, rho in base.residuals.items()}
+    residuals.update((f"{k}bar", 2 * rho if complete else ZERO)
+                     for k, rho in base.residuals.items())
+    # Sasaki: g^ij is symmetric and (Rhat - R)^k_ij0 = (Rhat - R)^k_ijh u^h
+    # is antisymmetric in (i, j), so their contraction is 0 for every pair
+    notes = ["barred-trace curvature difference g^ij (Rhat - R)^k_ij0 vanishes "
+             "identically"] if kind is LiftKind.SASAKI else []
     return _judge(residuals, notes, cfg)
 
 
@@ -122,21 +141,12 @@ def lifted_harmonicity(
 ) -> HarmonicityReport:
     """Harmonicity of the lifted pair on the tangent bundle.
 
-    Builds the lift metrics and connections for both metrics and runs the
-    2m-index trace system. For the Sasaki lift the barred-index residuals
-    reduce to curvature differences g^ij (Rhat - R)^k_ij0, which the report
-    notes record as vanishing identically.
+    Both metrics must lift (one chart, no constant named like a fiber
+    coordinate); the report is lifted_report of the base pair's report.
     """
     kind = LiftKind(kind)
     if g.chart != d.chart:
         raise GeometryError("metrics live on different charts")
-    lg = lift_metric(g, kind)
-    conn_g = lift_connection(g, kind, cfg=cfg)
-    conn_d = lift_connection(d, kind, cfg=cfg)
-    notes = []
-    if kind is LiftKind.SASAKI:
-        # g^ij is symmetric and (Rhat - R)^k_ij0 = (Rhat - R)^k_ijh u^h is
-        # antisymmetric in (i, j), so their contraction is 0 for every pair
-        notes.append("barred-trace curvature difference g^ij (Rhat - R)^k_ij0 "
-                     "vanishes identically")
-    return _trace(lg, conn_g, conn_d, cfg, notes)
+    for metric in (g, d):
+        _tangent_chart(metric.chart, (v for _, v in metric.items()))
+    return lifted_report(harmonicity_residuals(g, d, cfg=cfg), kind, cfg)

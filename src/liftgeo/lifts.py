@@ -12,6 +12,8 @@ fiber contraction 1/2 R^k_hij u^h per (k, i, j) shared by the slots
 (ibar, j) and (j, ibar), and Gamma^kbar_ij = -1/2 R^k_ij0 read from
 fiber_contract. The complete lift lives in genuine induced
 coordinates and its connection is always recomputed generically.
+Harmonicity reads none of these: lifted_harmonicity maps the base traces,
+and the lift scenarios of gks check that map against these tables.
 """
 
 from __future__ import annotations

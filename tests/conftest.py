@@ -1,8 +1,11 @@
 import pytest
 
-from liftgeo.expr import ONE, ZERO, FuncSymbol, SymbolTable, esum, parse
+from liftgeo import geometry, lifts
+from liftgeo.expr import ONE, ZERO, FuncSymbol, ProbeConfig, SymbolTable, esum, parse
 from liftgeo.geometry import Chart, Metric
 from liftgeo.gks import abstract_spec, build_gks, example_pair, hatted_abstract_spec
+from liftgeo.harmonicity import _trace
+from liftgeo.lifts import lift_connection, lift_metric
 
 
 def full_symbols() -> SymbolTable:
@@ -32,6 +35,39 @@ def matrix_mul(a, b) -> tuple:
         tuple(esum((a[i][k], b[k][j]) for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def generic_lifted_traces(g: Metric, d: Metric, kind, cfg: ProbeConfig = ProbeConfig()):
+    """The lifted pair's report computed the long way, as the trace system of
+    the lifted metric and both lifted connections: the reference against
+    which the lift identities are checked, so they are not read back from
+    lifted_harmonicity itself."""
+    return _trace(lift_metric(g, kind), lift_connection(g, kind, cfg=cfg),
+                  lift_connection(d, kind, cfg=cfg), cfg)
+
+
+@pytest.fixture
+def lifted_builds(monkeypatch):
+    """The lifted values built while a test runs, by the builder's name: an
+    8-D inverse, a lifted metric, or the base block every adapted-frame lift
+    connection starts from (the complete connection needs a lifted metric).
+    Metrics built before the test may hold lifted values already."""
+    built = []
+
+    def record(module, name, counts):
+        original = getattr(module, name)
+
+        def recording(*args):
+            if counts(*args):
+                built.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(geometry, "_inverse", lambda g, det: g.dim == 8)
+    record(lifts, "_lift_metric", lambda g, kind: True)
+    record(lifts, "_base_block", lambda conn, shift: True)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -21,11 +21,11 @@ from liftgeo.gks import (
     abstract_spec, build_gks, condition_18, example_pair,
     hatted_abstract_spec, run_scenario, scenario_theorem_equivalence,
 )
-from liftgeo.harmonicity import harmonicity_residuals, lifted_harmonicity
+from liftgeo.harmonicity import harmonicity_residuals
 from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 from liftgeo.oracle import ProbeConfig, finite_difference_check
 
-from conftest import ref
+from conftest import generic_lifted_traces, ref
 
 
 CFG = ProbeConfig()  # seed 0, 20 probes, zero_tol 1e-9 (and oracle.FD_REL_TOL 1e-6)
@@ -131,8 +131,8 @@ def _corpus_results(scenario, lift_name):
 def test_criterion_6_sasaki(gks_metric, gks_hat_metric, equivalence_scenario):
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
                                  cfg=CFG)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.SASAKI,
-                                cfg=CFG)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.SASAKI,
+                                   cfg=CFG)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(f"{k}bar") == ZERO, f"barred residual {k}bar"
         assert equivalent(lifted.residual(k), base.residual(k))
@@ -146,8 +146,8 @@ def test_criterion_6_sasaki(gks_metric, gks_hat_metric, equivalence_scenario):
 def test_criterion_7_horizontal(gks_metric, gks_hat_metric, equivalence_scenario):
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
                                  cfg=CFG)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.HORIZONTAL,
-                                cfg=CFG)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.HORIZONTAL,
+                                   cfg=CFG)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(k) == simplify(base.residual(k))
         assert lifted.residual(f"{k}bar") == ZERO
@@ -184,8 +184,8 @@ def test_criterion_9_complete_theorem(gks_metric, gks_hat_metric, equivalence_sc
     assert not bad, f"counterexamples: {bad}"
     base = harmonicity_residuals(gks_metric, gks_hat_metric,
                                  cfg=CFG)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.COMPLETE,
-                                cfg=CFG)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.COMPLETE,
+                                   cfg=CFG)
     c1, c2 = condition_18(abstract_spec(), hatted_abstract_spec())
     # base residuals are rational multiples of the two obstructions ...
     assert equivalent(base.residual("1"), simplify(-c1))

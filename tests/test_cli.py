@@ -2,12 +2,15 @@
 
 import json
 import os
+import pathlib
+import re
 import sys
 
 import pytest
 
 from liftgeo import _poly
 from liftgeo.cli import EXIT_CLOSED_PIPE, main, render_text
+from liftgeo.gks import SCENARIO_NAMES
 
 GKS_FILE = """\
 chart t r theta phi
@@ -343,6 +346,27 @@ def test_repeated_chart_coordinate_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 1" in err and "repeats" in err
+
+
+@pytest.mark.parametrize("line", [
+    "g 2 2 = ²", "g ² 2 = t", "g 2 2 = t^٣", "g 2 2 = t²", "g 2 2 = θ", "g 2 2 = １ + t",
+], ids=["superscript-value", "superscript-index", "arabic-indic-exponent",
+        "superscript-in-name", "greek-name", "full-width-digit"])
+def test_non_ascii_digit_or_letter_is_usage_error(tmp_path, capsys, line):
+    # numbers, names and indices are ASCII: a superscript, Arabic-Indic or
+    # full-width digit is neither read as its value nor kept in a name
+    p = tmp_path / "unicode.metric"
+    p.write_text(f"chart t r\ng 1 1 = 1\n{line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3") and "Traceback" not in err
+
+
+def test_readme_lists_every_scenario():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = re.search(r"paper-check \[--scenario ([^\]]*)\]", readme).group(1)
+    assert usage.replace("\n", " ").replace(" ", "").split("|") == [*SCENARIO_NAMES, "all"]
 
 
 def test_verify_substitutes_stand_ins_once_per_target(tmp_path, capsys, monkeypatch):

@@ -123,6 +123,14 @@ def test_theorem_check_builds_each_base_connection_once(monkeypatch):
     assert base[0] is not base[1]
 
 
+def test_theorem_check_builds_no_lifted_metric_connection_or_inverse(lifted_builds):
+    # the lifted verdicts are read from the base report; the lift scenarios
+    # check the identities that reading rests on
+    check = theorem_equivalence_check(abstract_spec(), hatted_abstract_spec())
+    assert check.passed
+    assert lifted_builds == []
+
+
 def test_corpus_is_seeded_and_mixed():
     pairs = corpus_pairs(seed=0, count=20)
     assert pairs == corpus_pairs(seed=0, count=20)

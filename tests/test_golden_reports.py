@@ -45,6 +45,12 @@ def _requests():
     # not-harmonic pairs: the witness is evaluated over a multi-term
     # denominator (ks against gks) and over monomial denominators (g1, ghat1)
     yield "harmonic-ks-gks", ["harmonic", path, "metrics/gks.metric"]
+    # and their lifts: the witness and the value of the base pair, doubled on
+    # the barred index for the complete lift
+    for kind in ("sasaki", "horizontal", "complete"):
+        yield f"harmonic-{kind}-ks-gks", [
+            "harmonic", path, "metrics/gks.metric", "--lift", kind,
+        ]
     yield "harmonic-g1-ghat1", ["harmonic", "metrics/g1.metric", "metrics/ghat1.metric"]
     # the symbolic and finite-difference self-checks
     for name in ("gks", "ks", "sphere"):

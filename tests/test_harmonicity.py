@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftgeo import _poly
-from liftgeo.expr import ZERO, SymbolTable, equivalent, parse, simplify
+from liftgeo.expr import ZERO, ProbeConfig, SymbolTable, equivalent, parse, simplify
 from liftgeo.geometry import Chart, GeometryError, Metric
-from liftgeo.harmonicity import harmonicity_residuals, lifted_harmonicity
+from liftgeo.harmonicity import harmonicity_residuals, lifted_harmonicity, lifted_report
 from liftgeo.lifts import LiftKind, lift_metric
 
-from conftest import ref
+from conftest import generic_lifted_traces, ref
 
 
 # off-diagonal pairs are slower; DENSE_PAIRS below covers three of them
@@ -28,10 +28,15 @@ def plane_metric(g11: str, g12: str, g22: str) -> Metric:
 def assert_lift_identities(g: Metric, d: Metric, known: dict):
     """Sasaki and horizontal: rho^k on the base indices, 0 on the barred
     ones; complete: 0 on the base indices, 2 rho^k on the barred ones.
-    known holds lifted reports already built, by kind."""
+    The lifted traces are the generic ones, and lifted_report, which reads
+    them from the base traces, must agree with them. known holds generic
+    lifted reports already built, by kind."""
     base = harmonicity_residuals(g, d)
     for kind in LiftKind:
-        lifted = known.get(kind) or lifted_harmonicity(g, d, kind)
+        lifted = known.get(kind) or generic_lifted_traces(g, d, kind)
+        mapped = lifted_report(base, kind, ProbeConfig())
+        assert mapped.residuals == lifted.residuals
+        assert mapped.verdict == lifted.verdict
         for k in ("1", "2"):
             rho = base.residual(k)
             if kind is LiftKind.COMPLETE:
@@ -79,7 +84,7 @@ def test_gcd_stays_bounded_on_dense_pairs(g_entries, d_entries, prems, monkeypat
 
     g, d = plane_metric(*g_entries), plane_metric(*d_entries)
     monkeypatch.setattr(_poly, "_prem", counting)
-    sasaki = lifted_harmonicity(g, d, LiftKind.SASAKI)
+    sasaki = generic_lifted_traces(g, d, LiftKind.SASAKI)
     monkeypatch.undo()
     assert len(calls) == prems
     assert_lift_identities(g, d, {LiftKind.SASAKI: sasaki})
@@ -137,17 +142,18 @@ def test_chart_and_frame_mismatch_rejected(gks_metric, sphere_metric):
 
 def test_sasaki_lifted_residuals(gks_metric, gks_hat_metric):
     base = harmonicity_residuals(gks_metric, gks_hat_metric)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.SASAKI)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.SASAKI)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(f"{k}bar") == ZERO
         assert equivalent(lifted.residual(k), base.residual(k))
-    assert any("vanishes identically" in note for note in lifted.notes)
+    mapped = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.SASAKI)
+    assert any("vanishes identically" in note for note in mapped.notes)
     assert lifted.verdict.kind == base.verdict.kind
 
 
 def test_sasaki_note_holds_on_a_non_diagonal_pair():
     # g^ij is symmetric where it is off the diagonal, so the barred traces
-    # still cancel: the report's own residuals back its note
+    # still cancel: the generic lifted residuals back the report's note
     syms = SymbolTable(coords=("t", "x"))
     chart = Chart(("t", "x"))
 
@@ -158,10 +164,10 @@ def test_sasaki_note_holds_on_a_non_diagonal_pair():
 
     g = metric("1 + t*x", "x^2", "-exp(t)")
     d = metric("t^3", "sin(x)", "2 + x")
-    lifted = lifted_harmonicity(g, d, LiftKind.SASAKI)
-    assert lifted.notes == (
+    assert lifted_harmonicity(g, d, LiftKind.SASAKI).notes == (
         "barred-trace curvature difference g^ij (Rhat - R)^k_ij0 vanishes identically",
     )
+    lifted = generic_lifted_traces(g, d, LiftKind.SASAKI)
     for k in ("1", "2"):
         assert lifted.residual(f"{k}bar") == ZERO
     assert lifted.verdict.kind == "not_harmonic"
@@ -169,7 +175,7 @@ def test_sasaki_note_holds_on_a_non_diagonal_pair():
 
 def test_horizontal_lifted_residuals(gks_metric, gks_hat_metric):
     base = harmonicity_residuals(gks_metric, gks_hat_metric)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.HORIZONTAL)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.HORIZONTAL)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(f"{k}bar") == ZERO
         assert equivalent(lifted.residual(k), base.residual(k))
@@ -197,32 +203,21 @@ def test_undecided_verdict_is_surfaced_not_coerced():
 
 def test_complete_lifted_residuals_are_doubled_base(gks_metric, gks_hat_metric):
     base = harmonicity_residuals(gks_metric, gks_hat_metric)
-    lifted = lifted_harmonicity(gks_metric, gks_hat_metric, LiftKind.COMPLETE)
+    lifted = generic_lifted_traces(gks_metric, gks_hat_metric, LiftKind.COMPLETE)
     for k in ("1", "2", "3", "4"):
         assert lifted.residual(k) == ZERO
         assert equivalent(lifted.residual(f"{k}bar"), simplify(2 * base.residual(k)))
 
 
-def test_complete_lift_inverts_each_lifted_metric_once(monkeypatch):
-    from liftgeo import geometry
+def test_lifted_harmonicity_builds_no_lifted_metric_connection_or_inverse(lifted_builds):
     from liftgeo.gks import abstract_spec, build_gks, hatted_abstract_spec
-    built = []
-    original = geometry._inverse
-
-    def counting(g, det):
-        built.append(g)
-        return original(g, det)
-
-    monkeypatch.setattr(geometry, "_inverse", counting)
     g, d = build_gks(abstract_spec()), build_gks(hatted_abstract_spec())
-    lifted_harmonicity(g, d, LiftKind.COMPLETE)
-    eight = [m for m in built if m.dim == 8]
-    assert len(eight) == 2
-    assert eight[0] is not eight[1]
-    assert {id(m) for m in eight} == {
-        id(lift_metric(g, LiftKind.COMPLETE)),
-        id(lift_metric(d, LiftKind.COMPLETE)),
-    }
+    for kind in LiftKind:
+        lifted_harmonicity(g, d, kind)
+    assert lifted_builds == []
+    # the recorder sees the generic path build what the map does without
+    generic_lifted_traces(g, d, LiftKind.COMPLETE)
+    assert lifted_builds == ["_lift_metric", "_inverse"] * 2
 
 
 def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):
