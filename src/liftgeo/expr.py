@@ -855,6 +855,9 @@ class SymbolTable:
         return func
 
     def _check_name(self, name: str):
+        # the identifier rule of _tokenize: no expression could name another
+        if not (name.isascii() and name[:1].isalpha() and name.replace("_", "").isalnum()):
+            raise ExprError(f"{name!r} is not a name (an ASCII letter, then letters, digits or _)")
         if name in KNOWN_FUNCTIONS:
             raise ExprError(f"{name!r} is a reserved function name")
 

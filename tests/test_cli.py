@@ -363,6 +363,22 @@ def test_non_ascii_digit_or_letter_is_usage_error(tmp_path, capsys, line):
     assert err.startswith("error: line 3") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("chart t r+s\ng 1 1 = 1\ng 2 2 = t\n", 1),
+    ("chart t θ\ng 1 1 = 1\ng 2 2 = t\n", 1),
+    ("chart t x\nfunc F-1(t) abstract\ng 1 1 = 1\ng 2 2 = t\n", 2),
+], ids=["operator-in-coordinate", "greek-coordinate", "operator-in-func"])
+def test_declared_name_that_no_expression_can_read_is_usage_error(tmp_path, capsys, text, line):
+    # chart coordinates and func names follow the identifier rule of the
+    # expression syntax: an ASCII letter, then ASCII letters, digits or _
+    p = tmp_path / "names.metric"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}:") and "Traceback" not in err
+
+
 def test_readme_lists_every_scenario():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     usage = re.search(r"paper-check \[--scenario ([^\]]*)\]", readme).group(1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from liftgeo.expr import Coord, FuncSymbol, KnownFunc, ZERO, equivalent, is_identically_zero
+from liftgeo.expr import Coord, FuncSymbol, KnownFunc, ZERO, eprod, equivalent
 from liftgeo.geometry import validate
 from liftgeo.gks import (
     GksSpec, SCENARIO_NAMES, abstract_spec, build_gks, condition_18,
@@ -99,7 +99,7 @@ def test_theorem_check_on_example_pair():
     assert check.passed and not check.inconclusive
     assert check.base_report.verdict.kind == "not_harmonic"
     assert check.condition_holds is False
-    assert set(check.results) == {"trace-condition", "sasaki", "horizontal", "complete"}
+    assert set(check.results) == {"trace-condition"}
 
 
 def test_theorem_check_on_abstract_pair():
@@ -140,22 +140,33 @@ def test_corpus_is_seeded_and_mixed():
 
 
 def test_corpus_verdict_matches_condition_18():
-    # the base equivalence as a property over a seeded slice of the corpus
-    cfg = ProbeConfig(seed=3)
-    for name, g_spec, hat_spec in corpus_pairs(seed=3, count=8):
-        g = build_gks(g_spec)
-        d = build_gks(hat_spec)
-        report = harmonicity_residuals(g, d, cfg=cfg)
-        c1, c2 = condition_18(g_spec, hat_spec)
-        v1 = is_identically_zero(c1, cfg=cfg)
-        v2 = is_identically_zero(c2, cfg=cfg)
-        assert report.verdict.kind != "undecided", name
-        assert not (v1.is_unknown or v2.is_unknown), name
-        expected_harmonic = v1.is_zero and v2.is_zero
-        assert (report.verdict.kind == "harmonic") == expected_harmonic, name
+    # the identity of the theorem-equivalence scenario, specialized: the
+    # abstract and worked pairs and a seeded corpus, each verdict probed
+    pairs = [("abstract", abstract_spec(), hatted_abstract_spec()),
+             ("example1", *example_pair()), *corpus_pairs(0, 20)]
+    assert len(pairs) == 22
+    for name, g_spec, hat_spec in pairs:
+        check = theorem_equivalence_check(g_spec, hat_spec, ProbeConfig(), pair_name=name)
+        assert check.passed and not check.inconclusive, (name, check.base_report.verdict)
 
 
-@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "theorem-equivalence"])
+def test_trace_condition_is_an_exact_identity_on_the_abstract_pair():
+    g_spec, hat_spec = abstract_spec(), hatted_abstract_spec()
+    report = harmonicity_residuals(build_gks(g_spec), build_gks(hat_spec))
+    c1, c2 = condition_18(g_spec, hat_spec)
+    Y, f = g_spec.Y.app(), g_spec.f.app()
+    # canonical equality, no probe
+    assert report.residual("1") + c1 == ZERO
+    assert eprod((Y, Y, f, f, report.residual("3"))) + c2 == ZERO
+    assert report.residual("2") == ZERO and report.residual("4") == ZERO
+    (result,) = run_scenario("theorem-equivalence")
+    assert [(e.name, e.status, e.difference) for e in result.entries] == [
+        (name, "match", None)
+        for name in ("Y^2*f^2*rho^3 + c2", "rho^1 + c1", "rho^2", "rho^4")
+    ]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenarios_pass(name):
     (result,) = run_scenario(name)
     assert result.passed, [e for e in result.entries if e.status != "match"]
@@ -173,8 +184,7 @@ def test_complete_table_scenario_has_single_annotated_mismatch():
 
 
 def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
-    # the table scenarios build the abstract metric's connection once;
-    # theorem-equivalence builds its own pairs
+    # every scenario reads the abstract metric's connection from one build
     from liftgeo import connection
     abstract = build_gks(abstract_spec())
     builds = []
@@ -182,7 +192,7 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
     monkeypatch.setattr(connection, "_christoffel",
                         lambda g, ginv: builds.append(g == abstract) or christoffel(g, ginv))
     run_scenario("all", ProbeConfig(seed=3))
-    assert builds.count(True) == 2
+    assert builds.count(True) == 1
 
 
 def test_unknown_scenario_rejected():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftgeo import _poly
 from liftgeo.expr import ZERO, ProbeConfig, SymbolTable, equivalent, parse, simplify
-from liftgeo.geometry import Chart, GeometryError, Metric
+from liftgeo.geometry import Chart, GeometryError, Metric, parse_metric_document
 from liftgeo.harmonicity import harmonicity_residuals, lifted_harmonicity, lifted_report
 from liftgeo.lifts import LiftKind, lift_metric
 
@@ -229,3 +229,16 @@ def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):
 def test_lifted_pair_on_different_charts_rejected(gks_metric, sphere_metric):
     with pytest.raises(GeometryError, match="chart"):
         lifted_harmonicity(gks_metric, sphere_metric, LiftKind.SASAKI)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the zero test compares each probe value with an absolute "
+    "tolerance, so the base trace -3/4000000000 is undecided while the "
+    "complete lift's doubled trace is judged nonzero"))
+def test_lift_verdicts_agree_with_the_base_on_a_tiny_trace():
+    flat = parse_metric_document("chart t x\ng 1 1 = 1\ng 2 2 = 1\n")
+    tiny = parse_metric_document("chart t x\ng 1 1 = 1\ng 2 2 = 1 + 3*t/(2*10^9)\n")
+    cfg = ProbeConfig(seed=3)
+    base = harmonicity_residuals(flat, tiny, cfg=cfg).verdict.kind
+    lifted = [lifted_harmonicity(flat, tiny, kind, cfg=cfg).verdict.kind for kind in LiftKind]
+    assert lifted == [base] * len(LiftKind)
