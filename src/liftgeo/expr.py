@@ -284,18 +284,18 @@ def _mono_sort_key(mono) -> tuple:
     return tuple((atom, -e) for atom, e in mono)
 
 
-def _layout(e: Expr) -> tuple:
-    """(terms, rest): the normal form of e as the sum of terms over rest, the
-    multi-term part of its denominator (None when that is a monomial).
+def _layout(fr) -> tuple:
+    """(terms, rest): the (num, den) pair fr as the sum of terms over rest,
+    the multi-term part of den (None when that is a monomial).
 
     A term is (coefficient, monomial); the denominator's monomial content is
     folded into the numerator's monomials as negative exponents. Each term
     list is in _mono_sort_key order. Printing, evaluation and substitution
     all visit a value in this order.
     """
-    num, den = _frac_of(e)
+    num, den = fr
     if len(den) == 1:
-        # a canonical monomial denominator has coefficient 1
+        # coefficient 1: den is canonical or, from _d_nf, a product of canonical ones
         (shared,) = den
         rest = None
     else:
@@ -402,7 +402,7 @@ def _d_atom(atom: Expr, v: str, memo: dict):
         return _poly.F_ONE if atom.name == v else None
     if isinstance(atom, Const):
         return None
-    inner = _d_nf(_frac_of(atom.arg), v, memo)
+    inner = _reduced(_d_nf(_frac_of(atom.arg), v, memo))
     if _poly.p_is_zero(inner[0]):
         return None
     if isinstance(atom, FuncApp):
@@ -438,8 +438,9 @@ def _d_poly(p: Poly, derivs: dict):
 
 
 def _d_nf(fr, v: str, memo: dict):
-    """d(num/den)/dv as a reduced (num, den) pair: the quotient rule over the
-    chain rule through each atom; memo keeps each atom's derivative."""
+    """d(num/den)/dv as an unreduced (num, den) pair: the quotient rule over
+    the chain rule through each atom; memo keeps each atom's derivative. The
+    finite-difference oracle evaluates the pair as it is; _reduced reduces it."""
     num, den = fr
     derivs = {}
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
@@ -450,18 +451,21 @@ def _d_nf(fr, v: str, memo: dict):
     if not derivs:
         return _poly.F_ZERO
     a, b = _d_poly(num, derivs)
-    if _poly.p_is_const(den):
-        # den is exactly 1 here, and a polynomial num' is already reduced up
-        # to an integral Fraction coefficient, which scaling by 1 makes an int
-        return (_poly.p_scale(a, 1), b) if _poly.p_is_const(b) else _poly.f_make(a, b)
     c, d = _d_poly(den, derivs)
     if _poly.p_is_zero(c):
-        return _poly.f_make(a, _poly.p_mul(b, den))
+        return a, _poly.p_mul(b, den)
     # (a/b)/den - num (c/d)/den^2
-    return _poly.f_make(
+    return (
         _poly.p_sub(_poly.p_mul(_poly.p_mul(a, d), den), _poly.p_mul(_poly.p_mul(num, c), b)),
         _poly.p_mul(_poly.p_mul(b, d), _poly.p_mul(den, den)),
     )
+
+
+def _reduced(fr):
+    """The canonical form of a _d_nf pair. A constant denominator is 1, over
+    which scaling by 1 turns an integral Fraction coefficient into an int."""
+    a, b = fr
+    return (_poly.p_scale(a, 1), b) if _poly.p_is_const(b) else _poly.f_make(a, b)
 
 
 def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
@@ -470,7 +474,7 @@ def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
     atom (a coordinate, an abstract-function jet or a built-in function of
     its argument)."""
     name = v.name if isinstance(v, Coord) else v
-    return Normal(_d_nf(_frac_of(e), name, {}))
+    return Normal(_reduced(_d_nf(_frac_of(e), name, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +553,7 @@ def substitute(e: Expr, bindings: Mapping) -> Normal:
             return esum((coef,) + tuple(mapped[k] if e == 1 else mapped[k] ** e
                                         for k, e in mono) for coef, mono in terms)
 
-        terms, rest = _layout(n)
+        terms, rest = _layout(_frac_of(n))
         return total(terms) if rest is None else eprod((total(terms), total(rest) ** -1))
 
     return replaced(simplify(e))
@@ -584,19 +588,19 @@ def _float(c) -> float:
         return math.inf
 
 
-def _plan(e: Expr) -> tuple:
-    """The normal form of e laid out for _value_at, once per value: the
+def _plan(fr) -> tuple:
+    """The (num, den) pair fr laid out for _value_at, once per value: the
     (terms, rest) of _layout with each coefficient as a float and each
     factor as (env key, exponent, None), or (kind, exponent, plan of the
     argument) for a built-in function."""
-    terms, rest = _layout(e)
+    terms, rest = _layout(fr)
     return _plan_terms(terms), None if rest is None else _plan_terms(rest)
 
 
 def _plan_terms(terms) -> tuple:
     return tuple(
         (_float(coef), tuple(
-            (k.atom.kind, e, _plan(k.atom.arg)) if isinstance(k.atom, KnownFunc)
+            (k.atom.kind, e, _plan(_frac_of(k.atom.arg))) if isinstance(k.atom, KnownFunc)
             else (_probe_symbol(k.atom)[0], e, None)
             for k, e in mono
         ))
@@ -684,7 +688,7 @@ def eval_numeric(e: Expr, point: Mapping) -> float:
             else:
                 env[key] = value
                 env[(key, 0)] = value
-    return _value_at(_plan(e), env)
+    return _value_at(_plan(_frac_of(e)), env)
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +731,9 @@ def _probe_symbol(a: Expr) -> tuple:
     return a.name, a.name
 
 
-def _probe_symbols(*exprs: Expr) -> dict:
-    """Env keys -> display labels for every free symbol of the expressions."""
-    return dict(
-        _probe_symbol(a) for e in exprs for a in _atoms(e) if not isinstance(a, KnownFunc)
-    )
+def _probe_symbols(e: Expr) -> dict:
+    """Env keys -> display labels for every free symbol of e."""
+    return dict(_probe_symbol(a) for a in _atoms(e) if not isinstance(a, KnownFunc))
 
 
 @dataclass(frozen=True)
@@ -809,7 +811,7 @@ def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVer
     s = simplify(e)
     if s == ZERO:
         return ZeroVerdict("zero")
-    plan = _plan(s)
+    plan = _plan(_frac_of(s))
     for candidates in _probe_points(_probe_symbols(s), cfg):
         for env, labeled in candidates:
             try:
@@ -1091,7 +1093,7 @@ def to_string(e: Expr) -> str:
     """The normal form of e in the surface syntax; parsing the output
     reproduces it. The (num, den) pair is rendered in _layout's order: a
     multi-term denominator rest appears once, as (num)/(rest)."""
-    terms, rest = _layout(e)
+    terms, rest = _layout(_frac_of(e))
     if rest is None:
         return _sum_text(terms)
     den_text = f"({_sum_text(rest)})"

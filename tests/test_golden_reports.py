@@ -52,8 +52,9 @@ def _requests():
             "harmonic", path, "metrics/gks.metric", "--lift", kind,
         ]
     yield "harmonic-g1-ghat1", ["harmonic", "metrics/g1.metric", "metrics/ghat1.metric"]
-    # the symbolic and finite-difference self-checks
-    for name in ("gks", "ks", "sphere"):
+    # the symbolic and finite-difference self-checks; offdiag's derivatives
+    # have multi-term denominators
+    for name in ("gks", "ks", "sphere", "offdiag"):
         yield f"verify-{name}", ["verify", f"metrics/{name}.metric", "--seed", "5"]
     # every bundled reference scenario, the benchmark's paper-tables among them
     yield "paper-check-all", ["paper-check", "--scenario", "all", "--seed", "3"]

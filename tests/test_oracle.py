@@ -1,12 +1,15 @@
 """Finite-difference checks and reference-table reconciliation."""
 
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from liftgeo import _poly, cli, oracle
 from liftgeo.expr import ZERO
 from liftgeo.connection import christoffel, riemann
+from liftgeo.geometry import load_metric_document
 from liftgeo.oracle import (
     InconclusiveError, OracleError, ProbeConfig, finite_difference_check,
     reconcile_with_paper,
@@ -40,11 +43,14 @@ def test_fd_check_on_analytic_function():
 
 
 def test_fd_check_fails_on_a_slightly_wrong_derivative(monkeypatch):
-    from liftgeo import oracle
+    # the oracle evaluates the unreduced pair of _d_nf; scale its numerator
+    exact = oracle._d_nf
 
-    exact = oracle.differentiate
-    monkeypatch.setattr(oracle, "differentiate",
-                        lambda e, v: exact(e, v) * Fraction(10001, 10000))
+    def wrong(fr, v, memo):
+        num, den = exact(fr, v, memo)
+        return _poly.p_scale(num, Fraction(10001, 10000)), den
+
+    monkeypatch.setattr(oracle, "_d_nf", wrong)
     for text, v in (("sinh(theta)", "theta"), ("X'(t)/X(t)", "t")):
         res = finite_difference_check(ref(text), v)
         assert not res.passed
@@ -86,6 +92,56 @@ def test_fd_check_passes_for_gks_connection_and_curvature(gks_metric):
         for coord in ("t", "theta"):
             res = finite_difference_check(value, coord, cfg)
             assert res.passed, (value, coord, res.worst_rel_error)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def fd_prems(monkeypatch):
+    """The pseudo-remainders taken while finite_difference_check runs, called
+    directly or from the CLI's verify. The oracle only evaluates a derivative,
+    so it needs no gcd: the first one is recorded, even where a caller would
+    catch the error, and raised, so a long gcd fails the test at once."""
+    calls = []
+    checking = []
+    prem, check = _poly._prem, oracle.finite_difference_check
+
+    def counting(a, b):
+        if checking:
+            calls.append(None)
+            raise AssertionError("a pseudo-remainder in the finite-difference stage")
+        return prem(a, b)
+
+    def flagged(*args):
+        checking.append(None)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(_poly, "_prem", counting)
+    monkeypatch.setattr(oracle, "finite_difference_check", flagged)
+    monkeypatch.setattr(cli, "finite_difference_check", flagged)
+    return calls
+
+
+def test_fd_check_takes_no_gcd_on_gks_connection_and_curvature(fd_prems):
+    # counts, not a wall time: reduced derivatives took 5 pseudo-remainders
+    metric = load_metric_document(ROOT / "metrics" / "gks.metric")
+    conn = christoffel(metric)
+    riem = riemann(conn)
+    for value in [*conn.coefficients.values(), *riem.components.values()]:
+        for coord in metric.chart.coords:
+            assert oracle.finite_difference_check(value, coord, ProbeConfig(seed=5)).passed
+    assert fd_prems == []
+
+
+def test_verify_takes_no_gcd_in_the_fd_stage_of_an_offdiagonal_metric(fd_prems, monkeypatch):
+    # reducing these derivatives over multi-term denominators took minutes
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["verify", "metrics/offdiag.metric", "--seed", "5"]) == 0
+    assert fd_prems == []
 
 
 def test_reconcile_empty_maps():
