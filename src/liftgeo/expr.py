@@ -848,7 +848,13 @@ class SymbolTable:
             self.coords.append(name)
 
     def declare_func(self, func: FuncSymbol) -> FuncSymbol:
+        # a name is read one way: not as a coordinate and a function at once,
+        # nor as two different functions
         self._check_name(func.name)
+        if func.name in self.coords:
+            raise ExprError(f"function {func.name} is named like a chart coordinate")
+        if self.funcs.get(func.name, func) != func:
+            raise ExprError(f"function {func.name} is already declared differently")
         if func.var not in self.coords:
             raise ExprError(
                 f"function {func.name} depends on undeclared coordinate {func.var!r}"

@@ -283,77 +283,69 @@ def parse_metric_document(text: str) -> Metric:
             continue
         fields = line.split()
         kind = fields[0]
-        if kind == "chart":
-            if chart is not None:
-                raise MetricFileError("duplicate chart line", lineno)
-            if len(fields) < 2:
-                raise MetricFileError("chart needs at least one coordinate", lineno)
-            try:
+        # the one error boundary of a line: whatever the line raises is
+        # reported with its number
+        try:
+            if kind == "chart":
+                if chart is not None:
+                    raise GeometryError("duplicate chart line")
+                if len(fields) < 2:
+                    raise GeometryError("chart needs at least one coordinate")
                 for name in fields[1:]:
                     symbols.declare_coord(name)
                 chart = Chart(tuple(fields[1:]))
-            except (ex.ExprError, GeometryError) as err:
-                raise MetricFileError(str(err), lineno) from None
-        elif kind == "func":
-            if chart is None:
-                raise MetricFileError("func line before chart line", lineno)
-            rest = line[len("func"):].strip()
-            head, _, tail = rest.partition(")")
-            name, _, var = head.partition("(")
-            name = name.strip()
-            var = var.strip()
-            if not name or not var or "(" in var:
-                raise MetricFileError("expected: func NAME(coordinate) ...", lineno)
-            tail = tail.strip()
-            body = None
-            if tail == "abstract" or tail == "":
+            elif kind == "func":
+                if chart is None:
+                    raise GeometryError("func line before chart line")
+                rest = line[len("func"):].strip()
+                head, _, tail = rest.partition(")")
+                name, _, var = head.partition("(")
+                name = name.strip()
+                var = var.strip()
+                if not name or not var or "(" in var:
+                    raise GeometryError("expected: func NAME(coordinate) ...")
+                tail = tail.strip()
                 body = None
-            elif tail.startswith("="):
-                try:
+                if tail == "abstract" or tail == "":
+                    body = None
+                elif tail.startswith("="):
                     body = parse(tail[1:].strip(), symbols)
-                except ex.ExprError as err:
-                    raise MetricFileError(str(err), lineno) from None
-            else:
-                raise MetricFileError(
-                    "expected 'abstract' or '= EXPR' after func declaration", lineno
-                )
-            try:
+                else:
+                    raise GeometryError(
+                        "expected 'abstract' or '= EXPR' after func declaration"
+                    )
                 symbols.declare_func(FuncSymbol(name, var, body))
-            except ex.ExprError as err:
-                raise MetricFileError(str(err), lineno) from None
-        elif kind == "const":
-            # the line only documents: an undeclared name parses as a constant
-            for name in fields[1:]:
-                if name in ex.KNOWN_FUNCTIONS:
-                    raise MetricFileError(f"{name!r} is a reserved function name", lineno)
-        elif kind == "g":
-            if chart is None:
-                raise MetricFileError("g line before chart line", lineno)
-            body = line[1:].strip()
-            lhs, eq, rhs = body.partition("=")
-            if not eq:
-                raise MetricFileError("expected: g I J = EXPR", lineno)
-            parts = lhs.split()
-            if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-                raise MetricFileError("expected two 1-based indices after g", lineno)
-            i, j = (int(p) for p in parts)
-            n = chart.dim
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise MetricFileError(f"index out of range 1..{n}", lineno)
-            try:
+            elif kind == "const":
+                # the line only documents: an undeclared name parses as a constant
+                for name in fields[1:]:
+                    symbols._check_name(name)
+            elif kind == "g":
+                if chart is None:
+                    raise GeometryError("g line before chart line")
+                body = line[1:].strip()
+                lhs, eq, rhs = body.partition("=")
+                if not eq:
+                    raise GeometryError("expected: g I J = EXPR")
+                parts = lhs.split()
+                if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+                    raise GeometryError("expected two 1-based indices after g")
+                i, j = (int(p) for p in parts)
+                n = chart.dim
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise GeometryError(f"index out of range 1..{n}")
                 value = parse(rhs.strip(), symbols)
-            except ex.ExprError as err:
-                raise MetricFileError(str(err), lineno) from None
-            key = (min(i, j) - 1, max(i, j) - 1)
-            if key in entries and entries[key] != value:
-                raise MetricFileError(
-                    f"conflicting assignment for g {i} {j} "
-                    f"(previously set on line {sources[key]})", lineno
-                )
-            entries[key] = value
-            sources[key] = lineno
-        else:
-            raise MetricFileError(f"unknown directive {kind!r}", lineno)
+                key = (min(i, j) - 1, max(i, j) - 1)
+                if key in entries and entries[key] != value:
+                    raise GeometryError(
+                        f"conflicting assignment for g {i} {j} "
+                        f"(previously set on line {sources[key]})"
+                    )
+                entries[key] = value
+                sources[key] = lineno
+            else:
+                raise GeometryError(f"unknown directive {kind!r}")
+        except (ex.ExprError, GeometryError) as err:
+            raise MetricFileError(str(err), lineno) from None
     if chart is None:
         raise MetricFileError("missing chart line", 1)
     return Metric.from_entries(chart, entries)

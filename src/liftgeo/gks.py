@@ -470,10 +470,9 @@ def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig, metric) -> ScenarioRe
     generic = _trace(lift_metric(g, kind), lift_connection(g, kind, cfg=cfg),
                      lift_connection(d, kind, cfg=cfg), cfg)
     lifted = lifted_harmonicity(g, d, kind, cfg=cfg)
-    labels = [f"{k}{bar}" for bar in ("", "bar") for k in "1234"]
     entries = reconcile_with_paper(
-        {f"rho^{k}": generic.residual(k) for k in labels},
-        {f"rho^{k}": lifted.residual(k) for k in labels},
+        {f"rho^{k}": generic.residual(k) for k in lifted.residuals},
+        {f"rho^{k}": rho for k, rho in lifted.residuals.items()},
         cfg,
     )
     return ScenarioResult(kind.value, entries, tuple(lifted.notes))

@@ -7,7 +7,9 @@ rho^k = g^ij (dGamma^k_ij - Gamma^k_ij), so operationally d is harmonic
 with respect to g when every trace vanishes. The relation is not
 symmetric in (g, d): g supplies both the inverse and the subtracted
 connection. On the tangent bundle the lifted traces are the base traces
-mapped through the lift identities, so no lifted quantity is built.
+mapped through the lift identities, so no lifted quantity is built, and
+the lifted verdict is the base verdict carried through the same map: it
+is decided once, on the base traces.
 """
 
 from __future__ import annotations
@@ -47,24 +49,6 @@ class HarmonicityReport:
         return self.residuals.get(label, ZERO)
 
 
-def _judge(residuals: dict, notes, cfg: ProbeConfig) -> HarmonicityReport:
-    undecided = []
-    for label, rho in residuals.items():
-        v = ex.is_identically_zero(rho, cfg=cfg)
-        if v.is_nonzero:
-            verdict = Verdict(
-                "not_harmonic", index=label, witness=v.witness, value=v.value
-            )
-            return HarmonicityReport(residuals, verdict, tuple(notes))
-        if v.is_unknown:
-            undecided.append(label)
-    if undecided:
-        verdict = Verdict("undecided", undecided_indices=tuple(undecided))
-    else:
-        verdict = Verdict("harmonic")
-    return HarmonicityReport(residuals, verdict, tuple(notes))
-
-
 def harmonicity_residuals(
     g: Metric,
     d: Metric,
@@ -75,14 +59,12 @@ def harmonicity_residuals(
 
     Both metrics must be natural-coordinate metrics on one chart; their
     connections come from christoffel. Adapted-frame pairs (Sasaki and
-    horizontal lifts) are judged by lifted_harmonicity, which reads their
-    traces from the base traces.
+    horizontal lifts) go through lifted_harmonicity, which reads their
+    traces and verdict from the base pair's.
     """
     if g.chart != d.chart:
         raise GeometryError("metrics live on different charts")
-    if g.frame != d.frame:
-        raise GeometryError("metrics use different frame kinds")
-    if g.frame is Frame.ADAPTED:
+    if Frame.ADAPTED in (g.frame, d.frame):
         raise GeometryError(
             "adapted-frame pairs have no coordinate connection; "
             "use lifted_harmonicity on the base metrics"
@@ -94,7 +76,9 @@ def harmonicity_residuals(
 
 def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
            cfg: ProbeConfig) -> HarmonicityReport:
-    """Judge the traces g^ij (conn_d - conn_g)^k_ij of every upper index k."""
+    """Judge the traces g^ij (conn_d - conn_g)^k_ij of every upper index k:
+    the first certified nonzero trace decides not_harmonic, else any
+    unknown one leaves the pair undecided."""
     ginv = inverse(g, cfg=cfg)
     n = g.dim
     weights = [
@@ -111,25 +95,41 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
         )
         for k in range(n)
     }
-    return _judge(residuals, (), cfg)
+    undecided = []
+    for label, rho in residuals.items():
+        v = ex.is_identically_zero(rho, cfg=cfg)
+        if v.is_nonzero:
+            verdict = Verdict("not_harmonic", index=label, witness=v.witness, value=v.value)
+            return HarmonicityReport(residuals, verdict)
+        if v.is_unknown:
+            undecided.append(label)
+    kind = "undecided" if undecided else "harmonic"
+    return HarmonicityReport(residuals, Verdict(kind, undecided_indices=tuple(undecided)))
 
 
-def lifted_report(base: HarmonicityReport, kind: LiftKind, cfg: ProbeConfig) -> HarmonicityReport:
+def lifted_report(base: HarmonicityReport, kind: LiftKind) -> HarmonicityReport:
     """The lifted pair's report from the base pair's report by the lift
     identities (Yano-Ishihara, 1973): the traces over 1..m, 1bar..mbar are
     (rho, 0) for Sasaki and horizontal and (0, 2 rho) for complete. The
     sasaki, horizontal and complete scenarios check them on the abstract
     family against the generic traces of the lifted metric and connections.
+    The verdict is the base verdict carried through the same map, not judged
+    again; for complete its value doubles, which is exact in floating point.
     """
     complete = kind is LiftKind.COMPLETE
     residuals = {k: ZERO if complete else rho for k, rho in base.residuals.items()}
     residuals.update((f"{k}bar", 2 * rho if complete else ZERO)
                      for k, rho in base.residuals.items())
+    v = base.verdict
+    if complete:
+        v = Verdict(v.kind, v.index and f"{v.index}bar", v.witness,
+                    None if v.value is None else 2 * v.value,
+                    tuple(f"{k}bar" for k in v.undecided_indices))
     # Sasaki: g^ij is symmetric and (Rhat - R)^k_ij0 = (Rhat - R)^k_ijh u^h
     # is antisymmetric in (i, j), so their contraction is 0 for every pair
-    notes = ["barred-trace curvature difference g^ij (Rhat - R)^k_ij0 vanishes "
-             "identically"] if kind is LiftKind.SASAKI else []
-    return _judge(residuals, notes, cfg)
+    notes = ("barred-trace curvature difference g^ij (Rhat - R)^k_ij0 vanishes "
+             "identically",) if kind is LiftKind.SASAKI else ()
+    return HarmonicityReport(residuals, v, notes)
 
 
 def lifted_harmonicity(
@@ -145,8 +145,6 @@ def lifted_harmonicity(
     coordinate); the report is lifted_report of the base pair's report.
     """
     kind = LiftKind(kind)
-    if g.chart != d.chart:
-        raise GeometryError("metrics live on different charts")
     for metric in (g, d):
         _tangent_chart(metric.chart, (v for _, v in metric.items()))
-    return lifted_report(harmonicity_residuals(g, d, cfg=cfg), kind, cfg)
+    return lifted_report(harmonicity_residuals(g, d, cfg=cfg), kind)

@@ -193,6 +193,20 @@ def test_undecided_verdict_exits_inconclusive(tmp_path, capsys):
     assert "verdict: undecided" in out
 
 
+def test_base_and_lifts_agree_on_a_tiny_trace(tmp_path, capsys):
+    # rho^1 = -3/4000000000 is within the probe tolerance, so the base pair is
+    # undecided; every lift carries that verdict, the complete lift too,
+    # although it prints 2 rho^1 on rho^1bar
+    flat = tmp_path / "flat.metric"
+    flat.write_text("chart t x\ng 1 1 = 1\ng 2 2 = 1\n")
+    tiny = tmp_path / "tiny.metric"
+    tiny.write_text("chart t x\ng 1 1 = 1\ng 2 2 = 1 + 3*t/(2*10^9)\n")
+    for lift in ([], ["--lift", "sasaki"], ["--lift", "horizontal"], ["--lift", "complete"]):
+        code, out, _ = run(capsys, "harmonic", str(flat), str(tiny), "--seed", "3", *lift)
+        assert code == 3, lift
+        assert "verdict: undecided" in out, lift
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "christoffel", "nope.metric")
     assert code == 2
@@ -367,16 +381,42 @@ def test_non_ascii_digit_or_letter_is_usage_error(tmp_path, capsys, line):
     ("chart t r+s\ng 1 1 = 1\ng 2 2 = t\n", 1),
     ("chart t θ\ng 1 1 = 1\ng 2 2 = t\n", 1),
     ("chart t x\nfunc F-1(t) abstract\ng 1 1 = 1\ng 2 2 = t\n", 2),
-], ids=["operator-in-coordinate", "greek-coordinate", "operator-in-func"])
+    ("chart t x\nconst r+s θ 1x\ng 1 1 = 1\ng 2 2 = t\n", 2),
+], ids=["operator-in-coordinate", "greek-coordinate", "operator-in-func", "operator-in-const"])
 def test_declared_name_that_no_expression_can_read_is_usage_error(tmp_path, capsys, text, line):
-    # chart coordinates and func names follow the identifier rule of the
-    # expression syntax: an ASCII letter, then ASCII letters, digits or _
+    # chart coordinates, func and const names follow the identifier rule of
+    # the expression syntax: an ASCII letter, then ASCII letters, digits or _
     p = tmp_path / "names.metric"
     p.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "christoffel", str(p))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line {line}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("chart t x\nfunc t(x) = x^2\ng 1 1 = 1\ng 2 2 = t\n", 2),
+    ("chart t x\nfunc x(t) abstract\ng 1 1 = 1\ng 2 2 = x\n", 2),
+    ("chart t x\nfunc X(t) abstract\ng 1 1 = X(t)\nfunc X(t) = t^2\ng 2 2 = X(t)\n", 4),
+], ids=["func-named-like-a-coordinate", "abstract-func-named-like-a-coordinate",
+        "func-declared-twice"])
+def test_func_that_rereads_a_declared_name_is_usage_error(tmp_path, capsys, text, line):
+    # a func line may not change what a coordinate or an earlier func line
+    # means to the g lines around it
+    p = tmp_path / "reread.metric"
+    p.write_text(text)
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}:") and "Traceback" not in err
+
+
+def test_func_declared_twice_alike_is_read_once(tmp_path, capsys):
+    p = tmp_path / "twice.metric"
+    p.write_text("chart t x\nfunc X(t) = t^2\nfunc X(t) = t^2\ng 1 1 = X(t)\ng 2 2 = 1\n")
+    code, out, _ = run(capsys, "christoffel", str(p))
+    assert code == 0
+    assert "Gamma^1_1,1 = 1/t" in out
 
 
 def test_readme_lists_every_scenario():
