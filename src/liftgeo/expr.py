@@ -831,12 +831,13 @@ class SymbolTable:
     """Declared coordinates and function symbols for the surface syntax.
 
     Bare identifiers that are neither coordinates nor declared functions
-    parse as named constants.
+    parse as named constants; no coordinate or function takes a name in consts.
     """
 
     def __init__(self, coords: Iterable[str] = (), funcs: Iterable[FuncSymbol] = ()):
         self.coords: list = []
         self.funcs: dict = {}
+        self.consts: set = set()
         for c in coords:
             self.declare_coord(c)
         for f in funcs:
@@ -844,15 +845,27 @@ class SymbolTable:
 
     def declare_coord(self, name: str):
         self._check_name(name)
+        if name in self.consts:
+            raise ExprError(f"coordinate {name} is already a constant")
         if name not in self.coords:
             self.coords.append(name)
 
+    def declare_const(self, name: str):
+        self._check_name(name)
+        if name in self.coords:
+            raise ExprError(f"constant {name} is named like a chart coordinate")
+        if name in self.funcs:
+            raise ExprError(f"constant {name} is named like a declared function")
+        self.consts.add(name)
+
     def declare_func(self, func: FuncSymbol) -> FuncSymbol:
-        # a name is read one way: not as a coordinate and a function at once,
-        # nor as two different functions
+        # a name is read one way: not as a coordinate, a constant and a
+        # function at once, nor as two different functions
         self._check_name(func.name)
         if func.name in self.coords:
             raise ExprError(f"function {func.name} is named like a chart coordinate")
+        if func.name in self.consts:
+            raise ExprError(f"function {func.name} is already a constant")
         if self.funcs.get(func.name, func) != func:
             raise ExprError(f"function {func.name} is already declared differently")
         if func.var not in self.coords:

@@ -310,15 +310,17 @@ def parse_metric_document(text: str) -> Metric:
                     body = None
                 elif tail.startswith("="):
                     body = parse(tail[1:].strip(), symbols)
+                    symbols.consts |= {a.name for a in ex._atoms(body) if isinstance(a, ex.Const)}
                 else:
                     raise GeometryError(
                         "expected 'abstract' or '= EXPR' after func declaration"
                     )
                 symbols.declare_func(FuncSymbol(name, var, body))
             elif kind == "const":
-                # the line only documents: an undeclared name parses as a constant
+                # documents names that parse as constants anyway; like a
+                # constant an earlier line read, no later line may rename one
                 for name in fields[1:]:
-                    symbols._check_name(name)
+                    symbols.declare_const(name)
             elif kind == "g":
                 if chart is None:
                     raise GeometryError("g line before chart line")
@@ -334,6 +336,7 @@ def parse_metric_document(text: str) -> Metric:
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise GeometryError(f"index out of range 1..{n}")
                 value = parse(rhs.strip(), symbols)
+                symbols.consts |= {a.name for a in ex._atoms(value) if isinstance(a, ex.Const)}
                 key = (min(i, j) - 1, max(i, j) - 1)
                 if key in entries and entries[key] != value:
                     raise GeometryError(

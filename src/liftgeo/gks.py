@@ -34,7 +34,7 @@ from .expr import (
 )
 from .expr import to_string  # noqa: F401  (bench/workloads.py digests through gks.to_string)
 from .geometry import Chart, Metric, inverse
-from .connection import Connection, christoffel, fiber_contract, riemann
+from .connection import christoffel, fiber_contract, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import HarmonicityReport, _trace, harmonicity_residuals, lifted_harmonicity
 from .oracle import ReconEntry, reconcile_with_paper
@@ -478,35 +478,14 @@ def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig, metric) -> ScenarioRe
     return ScenarioResult(kind.value, entries, tuple(lifted.notes))
 
 
-def _complete_pattern_value(conn: Connection, tchart: Chart, k: int, i: int, j: int) -> Expr:
-    """u-linear pattern the complete-lift connection must satisfy:
-    Gamma^k_ij on the base block, Gamma^kbar_{i jbar} = Gamma^kbar_{ibar j}
-    = Gamma^k_ij, Gamma^kbar_ij = u^l d_l Gamma^k_ij, all other slots 0."""
-    m = 4
-    if k < m:
-        if i < m and j < m:
-            return conn.get(k, i, j)
-        return ZERO
-    if i < m and j < m:
-        return esum(
-            (Coord(tchart.coords[m + l]), ex.differentiate(conn.get(k - m, i, j), tchart.coords[l]))
-            for l in range(m)
-        )
-    if i < m <= j:
-        return conn.get(k - m, i, j - m)
-    if j < m <= i:
-        return conn.get(k - m, i - m, j)
-    return ZERO
-
-
 def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
     g = metric(abstract_spec())
     lifted = lift_metric(g, LiftKind.COMPLETE)
-    conn = lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
-    tchart = lifted.chart
+    # the Christoffel formula on the lifted metric is the arbiter
+    conn = christoffel(lifted, cfg=cfg)
 
     # metric blocks against the printed matrix
-    name = tchart.index_name
+    name = lifted.chart.index_name
     entries = _table(lambda i, j: f"cg_{name(i)},{name(j)}",
                      dict(lifted.items()), COMPLETE_METRIC_REF, cfg)
 
@@ -519,13 +498,13 @@ def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
         for e in _table(conn.display_key, printed, COMPLETE_CONNECTION_REF, cfg)
     ]
 
-    # full pattern check covers every slot, including the mirror slots the
-    # printed table omits
-    base_conn = christoffel(g, cfg=cfg)
+    # the closed form of lift_connection against every slot, including the
+    # mirror slots the printed table omits
+    closed = lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
     bad = [
         conn.display_key(k, i, j)
         for k in range(8) for i in range(8) for j in range(i, 8)
-        if not equivalent(conn.get(k, i, j), _complete_pattern_value(base_conn, tchart, k, i, j))
+        if not equivalent(conn.get(k, i, j), closed.get(k, i, j))
     ]
     entries.append(ReconEntry(
         name="general-pattern",

@@ -3,15 +3,15 @@ metrics and their Levi-Civita connection tables.
 
 Index convention: on a tangent chart of an m-dimensional base, slot i < m is
 the base direction x^(i+1) and slot i + m is the fiber direction u^(i+1)
-(written with a bar in reports). Sasaki and horizontal connections are the
-known closed forms in the frame adapted to the base connection; that frame
-is anholonomic, so they are taken as given rather than pushed through the
-coordinate Christoffel formula. Both start from one base block, Gamma^k_ij
-and its fiber copy; the Sasaki connection adds its curvature slots, one
-fiber contraction 1/2 R^k_hij u^h per (k, i, j) shared by the slots
-(ibar, j) and (j, ibar), and Gamma^kbar_ij = -1/2 R^k_ij0 read from
-fiber_contract. The complete lift lives in genuine induced
-coordinates and its connection is always recomputed generically.
+(written with a bar in reports). Every lift connection is a closed form
+over the base connection, from one base block: Gamma^k_ij and its fiber
+copy. Sasaki and horizontal live in the frame adapted to the base
+connection, which is anholonomic, so the coordinate Christoffel formula
+does not apply to them. The Sasaki connection adds one fiber contraction
+1/2 R^k_hij u^h per (k, i, j), shared by the slots (ibar, j) and (j, ibar),
+and Gamma^kbar_ij = -1/2 R^k_ij0 from fiber_contract. The complete lift
+lives in induced coordinates; its connection, the complete lift of the
+base connection (Yano-Kobayashi), adds Gamma^kbar_ij = u^l d_l Gamma^k_ij.
 Harmonicity reads none of these: lifted_harmonicity maps the base traces,
 and the lift scenarios of gks check that map against these tables.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .expr import Coord, ProbeConfig, ZERO, esum, differentiate
+from .expr import Coord, Expr, ProbeConfig, esum, differentiate
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
 from .connection import Connection, Riemann, christoffel, fiber_contract, riemann
 
@@ -52,34 +52,27 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     entries: dict = {}
-    if kind is LiftKind.SASAKI:
-        for (i, j), v in g.items():
-            entries[(i, j)] = v
-            entries[(i + m, j + m)] = v
-        frame = Frame.ADAPTED
-    elif kind is LiftKind.HORIZONTAL:
-        for i in range(m):
-            for j in range(m):
-                v = g.entry(i, j)
-                if v != ZERO:
-                    entries[(i, j + m)] = v
-        frame = Frame.ADAPTED
-    else:
-        fibers = [Coord(u) for u in tchart.coords[m:]]
-        for (i, j), v in g.items():
-            entries[(i, j + m)] = v
-            if i != j:
-                entries[(j, i + m)] = v
-            entries[(i, j)] = esum(
-                (u, differentiate(v, x)) for u, x in zip(fibers, g.chart.coords)
-            )
-        frame = Frame.NATURAL
+    for (i, j), v in g.items():
+        if kind is LiftKind.SASAKI:
+            entries[(i, j)] = entries[(i + m, j + m)] = v
+        else:
+            entries[(i, j + m)] = entries[(j, i + m)] = v
+        if kind is LiftKind.COMPLETE:
+            entries[(i, j)] = _along_fibers(v, tchart)
+    frame = Frame.NATURAL if kind is LiftKind.COMPLETE else Frame.ADAPTED
     return Metric.from_entries(tchart, entries, frame)
+
+
+def _along_fibers(v: Expr, tchart: Chart) -> Expr:
+    """u^l d_l v, the complete lift of a base value v to the tangent chart."""
+    m = tchart.base.dim
+    return esum((Coord(u), differentiate(v, x))
+                for u, x in zip(tchart.coords[m:], tchart.coords[:m]))
 
 
 def _base_block(conn: Connection, shift: int) -> dict:
     """Gamma^k_ij on ordered lower pairs and its copy Gamma^(k+shift)_{i jbar}:
-    the fiber copy is barred above for Sasaki (shift m), not for horizontal."""
+    the fiber copy is barred above (shift m) but for horizontal (shift 0)."""
     m = conn.chart.dim
     coeffs: dict = {}
     for (k, i, j), gam in conn.items():
@@ -110,17 +103,19 @@ def _sasaki_connection(tchart: Chart, conn: Connection, riem: Riemann) -> Connec
 def lift_connection(
     g: Metric, kind: LiftKind, *, cfg: ProbeConfig = ProbeConfig()
 ) -> Connection:
-    """Levi-Civita connection of the lifted metric.
-
-    Sasaki and horizontal use the adapted-frame closed forms built from the
-    base connection and curvature; the complete lift is recomputed
-    generically from its metric.
+    """Levi-Civita connection of the lifted metric, a closed form over the
+    base connection: Sasaki and horizontal in the adapted frame (Sasaki adds
+    the base curvature), complete in natural induced coordinates.
     """
     kind = LiftKind(kind)
-    if kind is LiftKind.COMPLETE:
-        return christoffel(lift_metric(g, kind), cfg=cfg)
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     conn = christoffel(g, cfg=cfg)
+    if kind is LiftKind.COMPLETE:
+        # the complete lift of conn; Gamma^kbar_{ibar j} is stored as Gamma^kbar_{j ibar}
+        coeffs = _base_block(conn, g.dim)
+        for (k, i, j), gam in conn.items():
+            coeffs[(k + g.dim, i, j)] = _along_fibers(gam, tchart)
+        return Connection(tchart, coeffs, Frame.NATURAL)
     if kind is LiftKind.HORIZONTAL:
         return Connection(tchart, _base_block(conn, 0), Frame.ADAPTED)
     return _sasaki_connection(tchart, conn, riemann(conn))

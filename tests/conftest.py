@@ -1,6 +1,6 @@
 import pytest
 
-from liftgeo import geometry, lifts
+from liftgeo import connection, geometry, lifts
 from liftgeo.expr import ONE, ZERO, FuncSymbol, ProbeConfig, SymbolTable, esum, parse
 from liftgeo.geometry import Chart, Metric
 from liftgeo.gks import abstract_spec, build_gks, example_pair, hatted_abstract_spec
@@ -48,10 +48,10 @@ def generic_lifted_traces(g: Metric, d: Metric, kind, cfg: ProbeConfig = ProbeCo
 
 @pytest.fixture
 def lifted_builds(monkeypatch):
-    """The lifted values built while a test runs, by the builder's name: an
-    8-D inverse, a lifted metric, or the base block every adapted-frame lift
-    connection starts from (the complete connection needs a lifted metric).
-    Metrics built before the test may hold lifted values already."""
+    """The lifted values built while a test runs, by the builder's name: a
+    lifted metric, an inverse or a Christoffel table on a tangent chart, or
+    the base block every lift connection starts from. Metrics built before
+    the test may hold lifted values already."""
     built = []
 
     def record(module, name, counts):
@@ -64,7 +64,8 @@ def lifted_builds(monkeypatch):
 
         monkeypatch.setattr(module, name, recording)
 
-    record(geometry, "_inverse", lambda g, det: g.dim == 8)
+    record(geometry, "_inverse", lambda g, det: g.chart.is_tangent)
+    record(connection, "_christoffel", lambda g, ginv: g.chart.is_tangent)
     record(lifts, "_lift_metric", lambda g, kind: True)
     record(lifts, "_base_block", lambda conn, shift: True)
     return built

@@ -382,10 +382,17 @@ def test_non_ascii_digit_or_letter_is_usage_error(tmp_path, capsys, line):
     ("chart t θ\ng 1 1 = 1\ng 2 2 = t\n", 1),
     ("chart t x\nfunc F-1(t) abstract\ng 1 1 = 1\ng 2 2 = t\n", 2),
     ("chart t x\nconst r+s θ 1x\ng 1 1 = 1\ng 2 2 = t\n", 2),
-], ids=["operator-in-coordinate", "greek-coordinate", "operator-in-func", "operator-in-const"])
+    ("chart t x\nconst t\ng 1 1 = 1\ng 2 2 = t\n", 2),
+    ("chart t x\nfunc X(t) abstract\nconst X\ng 1 1 = 1\ng 2 2 = X(t)\n", 3),
+    ("const c\nchart c x\ng 1 1 = 1\ng 2 2 = c\n", 2),
+], ids=["operator-in-coordinate", "greek-coordinate", "operator-in-func", "operator-in-const",
+        "const-named-like-a-coordinate", "const-named-like-a-func",
+        "coordinate-named-like-a-const"])
 def test_declared_name_that_no_expression_can_read_is_usage_error(tmp_path, capsys, text, line):
     # chart coordinates, func and const names follow the identifier rule of
-    # the expression syntax: an ASCII letter, then ASCII letters, digits or _
+    # the expression syntax: an ASCII letter, then ASCII letters, digits or _;
+    # and a const line names no coordinate or function, which every g line
+    # would read instead of the constant
     p = tmp_path / "names.metric"
     p.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "christoffel", str(p))
@@ -398,11 +405,15 @@ def test_declared_name_that_no_expression_can_read_is_usage_error(tmp_path, caps
     ("chart t x\nfunc t(x) = x^2\ng 1 1 = 1\ng 2 2 = t\n", 2),
     ("chart t x\nfunc x(t) abstract\ng 1 1 = 1\ng 2 2 = x\n", 2),
     ("chart t x\nfunc X(t) abstract\ng 1 1 = X(t)\nfunc X(t) = t^2\ng 2 2 = X(t)\n", 4),
+    ("chart t x\ng 1 1 = 2 + X\nfunc X(t) abstract\ng 2 2 = X(t)\n", 3),
+    ("chart t x\nconst X\nfunc X(t) abstract\ng 1 1 = 1\ng 2 2 = X(t)\n", 3),
+    ("chart t x\nfunc F(t) = c*t\nfunc c(t) abstract\ng 1 1 = F(t)\ng 2 2 = c(t)\n", 3),
 ], ids=["func-named-like-a-coordinate", "abstract-func-named-like-a-coordinate",
-        "func-declared-twice"])
+        "func-declared-twice", "func-named-like-a-constant-read-earlier",
+        "func-named-like-a-declared-constant", "func-named-like-a-constant-of-a-body"])
 def test_func_that_rereads_a_declared_name_is_usage_error(tmp_path, capsys, text, line):
-    # a func line may not change what a coordinate or an earlier func line
-    # means to the g lines around it
+    # a func line may not change what a coordinate, a constant or an earlier
+    # func line means to the g lines around it
     p = tmp_path / "reread.metric"
     p.write_text(text)
     code, out, err = run(capsys, "christoffel", str(p))

@@ -223,7 +223,7 @@ def test_lifted_harmonicity_builds_no_lifted_metric_connection_or_inverse(lifted
     assert lifted_builds == []
     # the recorder sees the generic path build what the map does without
     generic_lifted_traces(g, d, LiftKind.COMPLETE)
-    assert lifted_builds == ["_lift_metric", "_inverse"] * 2
+    assert lifted_builds == ["_lift_metric", "_base_block", "_base_block", "_inverse"]
 
 
 def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):

@@ -126,11 +126,34 @@ def test_horizontal_connection_closed_forms(gks_metric, gks_conn):
     assert dict(hconn.items()) == expected
 
 
-def test_complete_connection_is_generic(gks_metric, gks_conn):
-    cconn = lift_connection(gks_metric, LiftKind.COMPLETE)
-    assert cconn.get(4, 1, 1) == ref("u1*(X(t)*X''(t) + X'(t)^2)")
-    # the u-linear derivative slot, not the printed closed form
-    assert cconn.get(5, 0, 1) == ref("u1*(X(t)*X''(t) - X'(t)^2)/X(t)^2")
+OFF_DIAGONAL = {
+    "polynomial": "chart t x\ng 1 1 = 1+t^2\ng 1 2 = x\ng 2 2 = 2+t\n",
+    "abstract": "chart t x\nfunc A(t) abstract\nfunc B(x) abstract\n"
+                "g 1 1 = A(t)\ng 1 2 = B(x)\ng 2 2 = t\n",
+    "trigonometric": "chart t x\ng 1 1 = 1+t\ng 1 2 = sin(x)\ng 2 2 = -x^2\n",
+}
+
+
+def base_metric(name):
+    """A fresh base metric, holding no lifted values yet."""
+    return build_gks(abstract_spec()) if name == "gks" else parse_metric_document(OFF_DIAGONAL[name])
+
+
+@pytest.mark.parametrize("name", ["gks", *OFF_DIAGONAL])
+def test_complete_connection_is_the_christoffel_formula_on_the_lifted_metric(name):
+    g = base_metric(name)
+    assert dict(lift_connection(g, LiftKind.COMPLETE).items()) == dict(
+        christoffel(lift_metric(g, LiftKind.COMPLETE)).items())
+
+
+@pytest.mark.parametrize("name", ["gks", "polynomial"])
+def test_complete_connection_builds_no_lifted_metric_inverse_or_christoffel(name, lifted_builds):
+    g = base_metric(name)
+    lift_connection(g, LiftKind.COMPLETE)
+    assert lifted_builds == ["_base_block"]
+    # the recorder sees the generic path build all three
+    christoffel(lift_metric(g, LiftKind.COMPLETE))
+    assert lifted_builds == ["_base_block", "_lift_metric", "_inverse", "_christoffel"]
 
 
 def test_complete_connection_general_pattern(gks_metric, gks_conn):
