@@ -396,13 +396,14 @@ def _known_derivative(kind: str, arg: Expr) -> Expr:
     raise ExprError(f"no derivative rule for {kind!r}")
 
 
-def _d_atom(atom: Expr, v: str, memo: dict):
-    """d atom/dv as a (num, den) pair, or None when it is 0."""
+def _d_atom(atom: Expr, field: Mapping, memo: dict):
+    """The derivative of atom along field as a (num, den) pair, or None when
+    it is 0."""
     if isinstance(atom, Coord):
-        return _poly.F_ONE if atom.name == v else None
+        return field.get(atom.name)
     if isinstance(atom, Const):
         return None
-    inner = _reduced(_d_nf(_frac_of(atom.arg), v, memo))
+    inner = _reduced(_d_nf(_frac_of(atom.arg), field, memo))
     if _poly.p_is_zero(inner[0]):
         return None
     if isinstance(atom, FuncApp):
@@ -416,8 +417,8 @@ def _d_atom(atom: Expr, v: str, memo: dict):
 
 
 def _d_poly(p: Poly, derivs: dict):
-    """dp/dv = sum over atoms a of (dp/da) a', as a (num, den) pair; den is 1
-    unless an atom derivative has a denominator."""
+    """The derivative of p, the sum over atoms a of (dp/da) a', as a
+    (num, den) pair; den is 1 unless an atom derivative has a denominator."""
     num, den = _poly.p_zero(), _poly.p_one()
     for key, (a_num, a_den) in derivs.items():
         partial: Poly = {}
@@ -437,15 +438,19 @@ def _d_poly(p: Poly, derivs: dict):
     return num, den
 
 
-def _d_nf(fr, v: str, memo: dict):
-    """d(num/den)/dv as an unreduced (num, den) pair: the quotient rule over
-    the chain rule through each atom; memo keeps each atom's derivative. The
-    finite-difference oracle evaluates the pair as it is; _reduced reduces it."""
+def _d_nf(fr, field: Mapping, memo: dict):
+    """The derivative of num/den along a vector field as an unreduced
+    (num, den) pair: the quotient rule over the chain rule through each atom.
+    field maps a coordinate name to the (num, den) pair of its component; a
+    coordinate it does not name has component 0. So {v: F_ONE} is d/dv, and
+    {x^l: u^l} is u^l d_l, the complete lift of a base value in one pass.
+    memo keeps each atom's derivative. The finite-difference oracle evaluates
+    the pair as it is; _reduced reduces it."""
     num, den = fr
     derivs = {}
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
         if key not in memo:
-            memo[key] = _d_atom(key.atom, v, memo)
+            memo[key] = _d_atom(key.atom, field, memo)
         if memo[key] is not None:
             derivs[key] = memo[key]
     if not derivs:
@@ -474,7 +479,7 @@ def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
     atom (a coordinate, an abstract-function jet or a built-in function of
     its argument)."""
     name = v.name if isinstance(v, Coord) else v
-    return Normal(_reduced(_d_nf(_frac_of(e), name, {})))
+    return Normal(_reduced(_d_nf(_frac_of(e), {name: _poly.F_ONE}, {})))
 
 
 # ---------------------------------------------------------------------------

@@ -70,17 +70,19 @@ class Chart:
 def _tangent_chart(chart: Chart, values) -> Chart:
     """chart.tangent(), for lifting or fiber-contracting values on chart.
 
-    A constant of the values named like a fiber coordinate is a
-    GeometryError: the two would print, re-parse and be probed as one symbol.
+    A constant or function of the values named like a fiber coordinate is a
+    GeometryError: the two would print and be probed as one symbol, and a
+    report that mixes them could not be parsed again.
     """
     tchart = chart.tangent()
     fibers = set(tchart.coords[chart.dim:])
-    clash = sorted({a.name for v in values for a in ex._atoms(v)
-                    if isinstance(a, ex.Const) and a.name in fibers})
+    clash = sorted({a.func.name if isinstance(a, ex.FuncApp) else a.name
+                    for v in values for a in ex._atoms(v)
+                    if isinstance(a, (ex.Const, ex.FuncApp))} & fibers)
     if clash:
         raise GeometryError(
-            f"constant name(s) {clash} are reserved for the fiber coordinates "
-            "of the tangent chart"
+            f"constant or function name(s) {clash} are reserved for the fiber "
+            "coordinates of the tangent chart"
         )
     return tchart
 

@@ -10,8 +10,11 @@ connection, which is anholonomic, so the coordinate Christoffel formula
 does not apply to them. The Sasaki connection adds one fiber contraction
 1/2 R^k_hij u^h per (k, i, j), shared by the slots (ibar, j) and (j, ibar),
 and Gamma^kbar_ij = -1/2 R^k_ij0 from fiber_contract. The complete lift
-lives in induced coordinates; its connection, the complete lift of the
-base connection (Yano-Kobayashi), adds Gamma^kbar_ij = u^l d_l Gamma^k_ij.
+lives in induced coordinates. The complete lift of a base value v is
+v^C = u^l d_l v, one derivation along the fiber field {x^l: u^l}, reduced
+once; it gives the base block of g^C and, since the connection of g^C is
+the complete lift of the base connection (Yano-Kobayashi),
+Gamma^kbar_ij = (Gamma^k_ij)^C. Each lift connection is kept on its metric.
 Harmonicity reads none of these: lifted_harmonicity maps the base traces,
 and the lift scenarios of gks check that map against these tables.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .expr import Coord, Expr, ProbeConfig, esum, differentiate
+from .expr import Coord, Expr, Normal, ProbeConfig, esum, _d_nf, _frac_of, _reduced
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
 from .connection import Connection, Riemann, christoffel, fiber_contract, riemann
 
@@ -51,6 +54,7 @@ def lift_metric(g: Metric, kind: LiftKind) -> Metric:
 def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
+    fibers = _fiber_field(tchart)
     entries: dict = {}
     for (i, j), v in g.items():
         if kind is LiftKind.SASAKI:
@@ -58,16 +62,21 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
         else:
             entries[(i, j + m)] = entries[(j, i + m)] = v
         if kind is LiftKind.COMPLETE:
-            entries[(i, j)] = _along_fibers(v, tchart)
+            entries[(i, j)] = _along_fibers(v, fibers)
     frame = Frame.NATURAL if kind is LiftKind.COMPLETE else Frame.ADAPTED
     return Metric.from_entries(tchart, entries, frame)
 
 
-def _along_fibers(v: Expr, tchart: Chart) -> Expr:
-    """u^l d_l v, the complete lift of a base value v to the tangent chart."""
+def _fiber_field(tchart: Chart) -> dict:
+    """{x^l: u^l}, the field u^l d_l of the complete lift, as _d_nf reads it."""
     m = tchart.base.dim
-    return esum((Coord(u), differentiate(v, x))
-                for u, x in zip(tchart.coords[m:], tchart.coords[:m]))
+    return {x: _frac_of(Coord(u)) for x, u in zip(tchart.coords[:m], tchart.coords[m:])}
+
+
+def _along_fibers(v: Expr, fibers: dict) -> Normal:
+    """u^l d_l v, the complete lift of a base value v: one derivation along
+    the fiber field, reduced once."""
+    return Normal(_reduced(_d_nf(_frac_of(v), fibers, {})))
 
 
 def _base_block(conn: Connection, shift: int) -> dict:
@@ -106,15 +115,24 @@ def lift_connection(
     """Levi-Civita connection of the lifted metric, a closed form over the
     base connection: Sasaki and horizontal in the adapted frame (Sasaki adds
     the base curvature), complete in natural induced coordinates.
+
+    It is built once per metric and kind, while nondegeneracy is certified
+    on every call, with this call's cfg.
     """
     kind = LiftKind(kind)
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     conn = christoffel(g, cfg=cfg)
+    return _derive(g, ("lift connection", kind), lambda: _lift_connection(tchart, conn, kind))
+
+
+def _lift_connection(tchart: Chart, conn: Connection, kind: LiftKind) -> Connection:
     if kind is LiftKind.COMPLETE:
         # the complete lift of conn; Gamma^kbar_{ibar j} is stored as Gamma^kbar_{j ibar}
-        coeffs = _base_block(conn, g.dim)
+        m = conn.chart.dim
+        fibers = _fiber_field(tchart)
+        coeffs = _base_block(conn, m)
         for (k, i, j), gam in conn.items():
-            coeffs[(k + g.dim, i, j)] = _along_fibers(gam, tchart)
+            coeffs[(k + m, i, j)] = _along_fibers(gam, fibers)
         return Connection(tchart, coeffs, Frame.NATURAL)
     if kind is LiftKind.HORIZONTAL:
         return Connection(tchart, _base_block(conn, 0), Frame.ADAPTED)

@@ -468,15 +468,19 @@ def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
 
 def test_constant_named_like_a_fiber_coordinate_fails_lifts(tmp_path, capsys):
     p = tmp_path / "clash.metric"
-    p.write_text("chart t r\ng 1 1 = t*u1\ng 2 2 = 1\n")
-    for argv in (["lift", str(p), "--kind", "complete"],
-                 ["harmonic", str(p), str(p), "--lift", "sasaki"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert "'u1'" in err and "Traceback" not in err
-    code, _, _ = run(capsys, "christoffel", str(p))
-    assert code == 0
+    for text in ("chart t r\ng 1 1 = t*u1\ng 2 2 = 1\n",
+                 # a function named like a fiber coordinate: its complete lift
+                 # would print as u1*u1'(t), and share the probe label u1
+                 "chart t x\nfunc u1(t) abstract\ng 1 1 = u1(t)\ng 2 2 = 1\n"):
+        p.write_text(text)
+        for argv in (["lift", str(p), "--kind", "complete"],
+                     ["harmonic", str(p), str(p), "--lift", "sasaki"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, (text, argv)
+            assert out == ""
+            assert "'u1'" in err and "Traceback" not in err
+        code, _, _ = run(capsys, "christoffel", str(p))
+        assert code == 0, text
 
 
 @pytest.mark.parametrize("text, code", [

@@ -17,7 +17,7 @@ from liftgeo.expr import (
     ParseError, ProbeConfig, SingularPointError, SubstitutionError,
     SymbolTable, ONE, ZERO,
     differentiate, eprod, equivalent, esum, eval_numeric, is_identically_zero, parse,
-    simplify, substitute, to_string,
+    simplify, substitute, to_string, _d_nf, _frac_of, _reduced,
 )
 
 from conftest import full_symbols, ref
@@ -474,3 +474,20 @@ def test_quotient_rule_property(raw_a, raw_b, v):
     assume(b != ZERO)
     lhs = differentiate(a / b, v)
     assert lhs == (differentiate(a, v) * b - a * differentiate(b, v)) / b**2
+
+
+def _components():
+    # coordinates, a fiber coordinate among them, a constant, and quotients
+    quotients = st.tuples(_exprs(), _exprs().filter(lambda b: simplify(b) != ZERO)).map(
+        lambda ab: ab[0] / ab[1])
+    return st.one_of(st.sampled_from([Coord("u1"), Coord("t"), Const("c1")]), quotients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs(), _components(), _components())
+def test_derivation_along_a_field_is_the_sum_of_its_partials_property(raw, w1, w2):
+    # w1 d_t + w2 d_theta in one pass, reduced once
+    e = simplify(raw)
+    field = {"t": _frac_of(w1), "theta": _frac_of(w2)}
+    got = Normal(_reduced(_d_nf(_frac_of(e), field, {})))
+    assert got == esum(eprod((w, differentiate(e, v))) for v, w in (("t", w1), ("theta", w2)))

@@ -7,7 +7,7 @@ from liftgeo.geometry import (
     Chart, DegenerateMetricError, Frame, GeometryError, Metric,
     MetricFileError, determinant, inverse, parse_metric_document, validate,
 )
-from liftgeo.lifts import LiftKind, lift_metric
+from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 
 from conftest import identity_matrix, matrix_mul, ref
 
@@ -112,12 +112,15 @@ def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
     from liftgeo.connection import christoffel
     g = Metric.from_entries(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
     inverse(g)
+    lift_connection(g, LiftKind.COMPLETE)
     monkeypatch.setattr(expr, "is_identically_zero",
                         lambda e, **kw: expr.ZeroVerdict("unknown"))
     with pytest.raises(DegenerateMetricError, match="inconclusive"):
         inverse(g)
     with pytest.raises(DegenerateMetricError, match="inconclusive"):
         christoffel(g)
+    with pytest.raises(DegenerateMetricError, match="inconclusive"):
+        lift_connection(g, LiftKind.COMPLETE)
 
 
 # ---------------------------------------------------------------------------

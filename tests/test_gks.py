@@ -131,6 +131,13 @@ def test_theorem_check_builds_no_lifted_metric_connection_or_inverse(lifted_buil
     assert lifted_builds == []
 
 
+def test_all_scenarios_build_each_lift_connection_once(lifted_builds):
+    # sasaki, horizontal and complete each lift g and its hatted partner;
+    # complete-table reads the complete connection of g kept on it
+    run_scenario("all")
+    assert lifted_builds.count("_base_block") == 6
+
+
 def test_corpus_is_seeded_and_mixed():
     pairs = corpus_pairs(seed=0, count=20)
     assert pairs == corpus_pairs(seed=0, count=20)

@@ -33,6 +33,10 @@ def _requests():
     yield "lift-complete-ks", ["lift", path, "--kind", "complete", "--connection"]
     for kind in ("sasaki", "horizontal"):
         yield f"lift-{kind}-ks", ["lift", path, "--kind", kind, "--connection"]
+    # complete lifts of values over multi-term denominators
+    yield "lift-complete-offdiag", [
+        "lift", "metrics/offdiag.metric", "--kind", "complete", "--connection",
+    ]
     yield "harmonic-complete-ks-ks", ["harmonic", path, path, "--lift", "complete"]
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",

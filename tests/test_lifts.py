@@ -1,16 +1,18 @@
 """The three lift metrics and their connection tables."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from liftgeo import lifts
+from liftgeo import _poly, lifts
 from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
 from liftgeo.geometry import (
-    Chart, Frame, GeometryError, Metric, inverse, parse_metric_document,
+    Chart, Frame, GeometryError, Metric, inverse, load_metric_document,
+    parse_metric_document,
 )
 from liftgeo.gks import abstract_spec, build_gks
 from liftgeo.lifts import LiftKind, lift_connection, lift_metric
@@ -154,6 +156,21 @@ def test_complete_connection_builds_no_lifted_metric_inverse_or_christoffel(name
     # the recorder sees the generic path build all three
     christoffel(lift_metric(g, LiftKind.COMPLETE))
     assert lifted_builds == ["_base_block", "_lift_metric", "_inverse", "_christoffel"]
+
+
+def test_complete_lift_of_offdiag_needs_no_remainder_sequence(monkeypatch):
+    # each value of the complete lift is one derivation along the fiber
+    # field, reduced once: over offdiag's multi-term denominators that
+    # reduction takes no polynomial remainder
+    g = load_metric_document(pathlib.Path(__file__).parent.parent / "metrics" / "offdiag.metric")
+    christoffel(g)
+
+    def refuse(*args):
+        raise AssertionError("a polynomial remainder was taken")
+
+    monkeypatch.setattr(_poly, "_prem", refuse)
+    lift_metric(g, LiftKind.COMPLETE)
+    lift_connection(g, LiftKind.COMPLETE)
 
 
 def test_complete_connection_general_pattern(gks_metric, gks_conn):

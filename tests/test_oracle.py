@@ -46,8 +46,8 @@ def test_fd_check_fails_on_a_slightly_wrong_derivative(monkeypatch):
     # the oracle evaluates the unreduced pair of _d_nf; scale its numerator
     exact = oracle._d_nf
 
-    def wrong(fr, v, memo):
-        num, den = exact(fr, v, memo)
+    def wrong(fr, field, memo):
+        num, den = exact(fr, field, memo)
         return _poly.p_scale(num, Fraction(10001, 10000)), den
 
     monkeypatch.setattr(oracle, "_d_nf", wrong)
