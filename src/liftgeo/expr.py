@@ -24,15 +24,15 @@ The concrete surface syntax (also produced by :func:`to_string`):
     expr    := term (('+'|'-') term)* ;
     term    := factor (('*'|'/') factor)* ;
     factor  := '-' factor | atom ('^' integer)? ;
-    atom    := rational | ident primes? ( '(' expr ')' )? | '(' expr ')' ;
+    atom    := integer | ident primes? ( '(' expr ')' )? | '(' expr ')' ;
     primes  := '\\''+ ;
-    rational:= integer ('/' integer)? ;
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -59,10 +59,11 @@ DEFAULT_EPSILON = 1e-9
 # factors nest at most this deep; a parenthesised group, a function argument
 # and a unary minus each open one more level
 MAX_NESTING = 100
-# a power may expand to at most this many terms (as _power_term_bound counts
-# them): the largest count in the tests, bundled metrics and benchmark inputs
-# is 201, for (1+t+t^2)^100, and 20000 draws of the quotient-rule property's
-# denominators squared reach at most 820
+# a power, and the numerators or the denominators of a product the parser
+# reads, may expand to at most this many terms (as _power_term_bound and
+# _product_term_bound count them): the largest power count in the tests,
+# bundled metrics and benchmark inputs is 201, for (1+t+t^2)^100, and 20000
+# draws of the quotient-rule property's denominators squared reach at most 820
 MAX_EXPANSION_TERMS = 2000
 
 
@@ -273,11 +274,31 @@ def _power_term_bound(p: Poly, n: int) -> int:
     than the product over its atoms a of n*deg_a(p) + 1; the second bound is
     the tight one for a polynomial in few atoms, such as (1 + t + t^2)^100.
     """
+    return min(math.comb(n + len(p) - 1, n),
+               math.prod(n * d + 1 for d in _degrees(p).values()))
+
+
+def _product_term_bound(polys: tuple) -> int:
+    """An upper bound on the number of terms of the product of polys, computed
+    without expanding: the product of their term counts, and, only when that
+    passes MAX_EXPANSION_TERMS, no more than the product over the atoms a of
+    (the sum of their deg_a) + 1."""
+    bound = math.prod(len(p) for p in polys)
+    if bound <= MAX_EXPANSION_TERMS:
+        return bound
+    degree = Counter()
+    for p in polys:
+        degree.update(_degrees(p))
+    return min(bound, math.prod(d + 1 for d in degree.values()))
+
+
+def _degrees(p: Poly) -> dict:
+    """The degree of p in each of its atoms."""
     degree = {}
     for mono in p:
         for atom, e in mono:
             degree[atom] = max(degree.get(atom, 0), e)
-    return min(math.comb(n + len(p) - 1, n), math.prod(n * d + 1 for d in degree.values()))
+    return degree
 
 
 def _mono_sort_key(mono) -> tuple:
@@ -780,26 +801,29 @@ class ProbeConfig:
 _MAX_REDRAWS = 8
 
 
-def _probe_points(symbols: Mapping, cfg: ProbeConfig):
-    """Per probe, a lazy iterator over its _MAX_REDRAWS candidate points
-    (env, labeled); callers take the next candidate when a point is singular.
+def _probe_values(symbols: Mapping, cfg: ProbeConfig, evaluate):
+    """Per probe, (labeled, evaluate(env)) at the first of its _MAX_REDRAWS
+    candidate points where evaluate raises no SingularPointError; a probe
+    whose candidates are all singular yields nothing.
 
     env maps each key of symbols, and labeled each label, to one draw from
     the label's probe_interval.
     """
     ordered = sorted(symbols.items(), key=lambda kv: kv[1])
     intervals = [(key, label, probe_interval(label)) for key, label in ordered]
-
-    def draw(probe: int, attempt: int) -> tuple:
-        rng = random.Random(((cfg.seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
-        env = {}
-        labeled = {}
-        for key, label, (lo, hi) in intervals:
-            env[key] = labeled[label] = rng.uniform(lo, hi)
-        return env, labeled
-
     for probe in range(cfg.probes):
-        yield (draw(probe, attempt) for attempt in range(_MAX_REDRAWS))
+        for attempt in range(_MAX_REDRAWS):
+            rng = random.Random(((cfg.seed & 0xFFFFFFFF) * 1000003 + probe) * 101 + attempt)
+            env = {}
+            labeled = {}
+            for key, label, (lo, hi) in intervals:
+                env[key] = labeled[label] = rng.uniform(lo, hi)
+            try:
+                value = evaluate(env)
+            except SingularPointError:
+                continue
+            yield labeled, value
+            break
 
 
 def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVerdict:
@@ -817,15 +841,9 @@ def is_identically_zero(e: Expr, *, cfg: ProbeConfig = ProbeConfig()) -> ZeroVer
     if s == ZERO:
         return ZeroVerdict("zero")
     plan = _plan(_frac_of(s))
-    for candidates in _probe_points(_probe_symbols(s), cfg):
-        for env, labeled in candidates:
-            try:
-                value = _value_at(plan, env)
-            except SingularPointError:
-                continue
-            if abs(value) > cfg.zero_tol:
-                return ZeroVerdict("nonzero", witness=labeled, value=value)
-            break
+    for labeled, value in _probe_values(_probe_symbols(s), cfg, lambda env: _value_at(plan, env)):
+        if abs(value) > cfg.zero_tol:
+            return ZeroVerdict("nonzero", witness=labeled, value=value)
     return ZeroVerdict("unknown")
 
 
@@ -936,8 +954,8 @@ class _Parser:
         self.symbols = symbols
         self.depth = 0
 
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -980,7 +998,16 @@ class _Parser:
                 factors.append(f if value == "*" else f ** -1)
             else:
                 break
-        return factors[0] if len(factors) == 1 else eprod(factors)
+        if len(factors) == 1:
+            return factors[0]
+        pairs = [_frac_of(f) for f in factors]
+        for polys in zip(*pairs):  # the numerators, then the denominators
+            if _product_term_bound(polys) > MAX_EXPANSION_TERMS:
+                raise ResourceLimitError(
+                    f"product of {len(factors)} factors may expand past "
+                    f"{MAX_EXPANSION_TERMS} terms"
+                )
+        return eprod(map(Normal, pairs))
 
     def factor(self) -> Expr:
         # every nesting level of the grammar passes through here
@@ -1018,15 +1045,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "int":
             self.next()
-            num = int(value)
-            k2, v2, o2 = self.peek()
-            if k2 == "op" and v2 == "/" and self.peek(1)[0] == "int":
-                self.next()
-                _, den, o3 = self.next()
-                if int(den) == 0:
-                    raise ParseError("zero denominator in rational", o3)
-                return _as_expr(Fraction(num, int(den)))
-            return _as_expr(num)
+            return _as_expr(int(value))
         if kind == "op" and value == "(":
             self.next()
             e = self.expr()

@@ -18,7 +18,7 @@ from . import expr as ex
 from ._poly import F_ONE
 from .expr import (
     Coord, Expr, FuncSymbol, ProbeConfig, ZERO,
-    SingularPointError, _d_nf, simplify, substitute, to_string,
+    _d_nf, simplify, substitute, to_string,
 )
 
 __all__ = [
@@ -102,27 +102,20 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     # a concrete value holds no FuncApp atom: its derivative adds no symbol but v
     symbols = {v: v, **ex._probe_symbols(concrete)}
     concrete, analytic = ex._plan(ex._frac_of(concrete)), ex._plan(analytic)
-    h = FD_STEP
-    worst = 0.0
-    used = 0
-    for candidates in ex._probe_points(symbols, cfg):
-        for env, _ in candidates:
-            try:
-                exact = ex._value_at(analytic, env)
-                coarse = _central_difference(concrete, env, v, h)
-                fine = _central_difference(concrete, env, v, h / 2)
-            except SingularPointError:
-                continue
-            fd = (4 * fine - coarse) / 3
-            rel = abs(fd - exact) / max(1.0, abs(exact))
-            worst = max(worst, rel)
-            used += 1
-            break
-    if used == 0:
+
+    def rel_error(env: dict) -> float:
+        exact = ex._value_at(analytic, env)
+        coarse = _central_difference(concrete, env, v, FD_STEP)
+        fine = _central_difference(concrete, env, v, FD_STEP / 2)
+        return abs((4 * fine - coarse) / 3 - exact) / max(1.0, abs(exact))
+
+    rels = [rel for _, rel in ex._probe_values(symbols, cfg, rel_error)]
+    if not rels:
         raise InconclusiveError(
             f"all probes hit singular denominators for d/d{v} of {to_string(e)}"
         )
-    return FdResult(passed=worst <= FD_REL_TOL, worst_rel_error=worst, probes_used=used)
+    worst = max([0.0, *rels])
+    return FdResult(passed=worst <= FD_REL_TOL, worst_rel_error=worst, probes_used=len(rels))
 
 
 # ---------------------------------------------------------------------------

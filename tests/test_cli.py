@@ -1,12 +1,16 @@
 """End-to-end command-line interface behavior."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import re
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liftgeo import _poly
 from liftgeo.cli import EXIT_CLOSED_PIPE, main, render_text
@@ -248,6 +252,83 @@ def test_expansion_past_the_term_budget_is_usage_error(tmp_path, capsys, monkeyp
     assert powers == []  # refused before any expansion
 
 
+def test_product_past_the_term_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    # each power has 1771 terms, within the budget; their product has 6391
+    products = []
+    p_mul = _poly.p_mul
+    monkeypatch.setattr(_poly, "p_mul",
+                        lambda a, b: products.append((len(a), len(b))) or p_mul(a, b))
+    p = tmp_path / "product.metric"
+    p.write_text("chart t x y\ng 1 1 = (1+t+x+y)^20*(1+t-x+y)^20\ng 2 2 = 1\ng 3 3 = 1\n")
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 2
+    assert "line 2" in err and "terms" in err
+    assert "Traceback" not in err
+    # refused before the product expands
+    assert products and max(min(sizes) for sizes in products) <= 1000
+
+
+# metric-file text for the grammar fuzz test: small entries of the grammar,
+# token soup from its alphabet and a few characters outside it
+_FUZZ_LEAVES = st.sampled_from([
+    "t", "x", "y", "c1", "u1", "X(t)", "X'(t)", "X''(x)", "f", "0", "1", "3", "10",
+    "sin(x)", "exp(t)", "log(y)", "sqrt(t)", "tan(t)",
+])
+_FUZZ_EXPRS = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.one_of(
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}^{}".format, inner, st.integers(-3, 6)),
+        st.builds("-{}".format, inner),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cosh", "exp", "X", "f"]), inner),
+    ),
+    max_leaves=6,
+)
+_FUZZ_SOUP = st.lists(
+    st.sampled_from(list("tx1209+-*/^()' =") + ["sin", "X", "g", "\u03b8", "\u00b2"]),
+    max_size=12,
+).map("".join)
+_FUZZ_ENTRIES = st.one_of(_FUZZ_EXPRS, _FUZZ_SOUP)
+_FUZZ_LINES = st.one_of(
+    st.builds("g {} {} = {}".format, st.integers(0, 3), st.integers(1, 3), _FUZZ_ENTRIES),
+    st.builds("func {}({}) abstract".format, st.sampled_from(["X", "f", "t", "sin", "u1"]),
+              st.sampled_from(["t", "x", "theta"])),
+    st.builds("func {}({}) = {}".format, st.sampled_from(["X", "f"]),
+              st.sampled_from(["t", "x"]), _FUZZ_ENTRIES),
+    st.builds("const {}".format, st.sampled_from(["c1", "c1 c2", "t", "X", "sin"])),
+    _FUZZ_SOUP,
+)
+_FUZZ_FILES = st.one_of(
+    st.lists(
+        st.builds("g {} {} = {}".format, st.integers(1, 3), st.integers(1, 3), _FUZZ_EXPRS),
+        max_size=4,
+    ).map(lambda lines: "\n".join(["chart t x y", "func X(t) abstract", *lines]) + "\n"),
+    st.builds(
+        lambda chart, func, lines: "\n".join([chart, func, *lines]) + "\n",
+        st.sampled_from(["chart t x y", "chart t x", "chart t", "chart t t", "chart t u1", ""]),
+        st.sampled_from(["func X(t) abstract", ""]),
+        st.lists(_FUZZ_LINES, max_size=5),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FUZZ_FILES)
+@example("chart t x y\ng 1 1 = (1+t+x+y)^20*(1+t-x+y)^20\ng 2 2 = 1\ng 3 3 = 1\n")
+@example("chart x y\ng 1 1 = (1+x+y)^400\ng 2 2 = 1\n")
+def test_any_metric_file_ends_in_a_documented_exit_code(tmp_path, text):
+    # `lift --kind sasaki` parses and lifts without building a connection,
+    # so each case costs what the reader costs
+    p = tmp_path / "fuzz.metric"
+    p.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lift", str(p), "--kind", "sasaki"])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_high_power_of_a_univariate_polynomial_is_within_the_budget(tmp_path, capsys):
     # 201 terms, although a 3-term polynomial to the 100 could have C(102, 2)
     p = tmp_path / "power.metric"
@@ -312,11 +393,12 @@ def test_closed_pipe_exits_without_a_traceback(files, capsys, monkeypatch, tmp_p
 
 def test_division_by_zero_entry_is_usage_error(tmp_path, capsys):
     p = tmp_path / "zero.metric"
-    p.write_text("chart x y\ng 1 1 = 1\ng 2 2 = (x-x)^-1\n")
-    code, _, err = run(capsys, "christoffel", str(p))
-    assert code == 2
-    assert "line 3" in err and "identically zero" in err
-    assert "Traceback" not in err
+    for entry in ("(x-x)^-1", "1/0"):
+        p.write_text(f"chart x y\ng 1 1 = 1\ng 2 2 = {entry}\n")
+        code, _, err = run(capsys, "christoffel", str(p))
+        assert code == 2
+        assert "line 3" in err and "identically zero" in err
+        assert "Traceback" not in err
 
 
 def test_first_error_from_the_left_wins(tmp_path, capsys):

@@ -54,9 +54,11 @@ def test_parse_bare_function_and_primes():
     assert parse("f''", syms()) == parse("f''(theta)", syms())
 
 
-def test_parse_rational_is_eager():
+def test_parse_division_binds_looser_than_power():
     assert parse("1/2", syms()) == esum((Fraction(1, 2),))
     assert parse("1/2^3", syms()) == esum((Fraction(1, 8),))
+    assert parse("3/10^2", syms()) == esum((Fraction(3, 100),))
+    assert parse("3/10^12", syms()) == esum((Fraction(3, 10**12),))
 
 
 def test_parse_undeclared_identifier_is_a_constant():
