@@ -129,6 +129,14 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
     return r
 
 
+def p_normalize(a: Poly) -> Poly:
+    """a itself, with each integral coefficient made an int in place."""
+    for m, v in a.items():
+        if type(v) is not int and v.denominator == 1:
+            a[m] = v.numerator
+    return a
+
+
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}

@@ -353,35 +353,58 @@ def simplify(e: Expr) -> Normal:
 def esum(terms: Iterable) -> Normal:
     """The canonical sum of terms, built as one value. A term is an expression
     or a number, or a tuple of them that stands for their product; a term
-    with a zero factor adds nothing. A number becomes a constant pair.
+    with a zero factor adds nothing, though each of its factors is still
+    coerced (a float raises ExprError).
 
-    Products and the sum run on the factors' stored (num, den) pairs. A
+    The scalar fold: the number factors of a term multiply into one scalar,
+    and the other factors are read as their stored (num, den) pairs. Once
+    every factor is read and none is zero, the numerators multiply in order
+    and one p_scale applies the scalar (none when it is 1), so no number
+    becomes a constant polynomial; a term of numbers only is a constant. A
     product is left unreduced. Numerators over the running denominator (1
     while every denominator is 1) add as plain polynomials; a term over
     another denominator joins through f_add. One f_make reduces the result
-    unless its denominator is 1."""
-    num, den = _poly.p_zero(), _poly.p_one()
+    unless its denominator is 1; then the numerator, a dict esum built
+    itself, has each integral coefficient made an int in place."""
+    p_mul, p_add, p_is_const = _poly.p_mul, _poly.p_add, _poly.p_is_const
+    num, den, unit = _poly.p_zero(), _poly.p_one(), True  # unit: den is 1
     for t in terms:
-        pairs = [(_poly.p_const(f), _poly.p_one()) if type(f) in (int, Fraction)
-                 else _frac_of(_as_expr(f)) for f in (t if isinstance(t, tuple) else (t,))]
-        if not all(n for n, _ in pairs):
+        c, fracs = 1, []
+        for f in (t if isinstance(t, tuple) else (t,)):
+            if type(f) in (int, Fraction):
+                c = f if c == 1 else c * f  # 1 * Fraction is a Fraction product
+            elif type(f) is Normal:
+                if not f.num:
+                    c = 0
+                fracs.append((f.num, f.den))
+            else:
+                fr = _frac_of(_as_expr(f))
+                if not fr[0]:
+                    c = 0
+                fracs.append(fr)
+        if not c:
             continue
-        tn, td = pairs[0] if pairs else _poly.F_ONE
-        for n, d in pairs[1:]:
-            tn = _poly.p_mul(tn, n)
-            if not _poly.p_is_const(d):
-                td = d if _poly.p_is_const(td) else _poly.p_mul(td, d)
-        if td == den:
-            num = _poly.p_add(num, tn)
-        elif _poly.p_is_const(td):
-            num = _poly.p_add(num, _poly.p_mul(tn, den))
-        elif _poly.p_is_const(den):
-            num, den = _poly.p_add(_poly.p_mul(num, td), tn), td
+        if not fracs:
+            tn, td = _poly.p_const(c), _poly.p_one()
+        else:
+            tn, td = fracs[0]
+            for n, d in fracs[1:]:
+                tn = p_mul(tn, n)
+                if not p_is_const(d):
+                    td = d if p_is_const(td) else p_mul(td, d)
+            if c != 1:
+                tn = _poly.p_scale(tn, c)
+        if p_is_const(td):
+            num = p_add(num, tn if unit else p_mul(tn, den))
+        elif unit:
+            num, den, unit = p_add(p_mul(num, td), tn), td, False
+        elif td == den:
+            num = p_add(num, tn)
         else:
             num, den = _poly.f_add((num, den), (tn, td))
-    if _poly.p_is_const(den):
-        # scaling by 1 turns an integral Fraction coefficient into an int
-        return Normal((_poly.p_scale(num, 1), den))
+            unit = p_is_const(den)
+    if unit:
+        return Normal((_poly.p_normalize(num), den))
     return Normal(_poly.f_make(num, den))
 
 

@@ -376,8 +376,18 @@ def test_differentiation_linear_over_sums(raw, v):
 
 def _esum_terms():
     # plain terms and tuples of factors, which may be ZERO or plain numbers
-    factor = st.one_of(_exprs(), st.just(ZERO), st.integers(-3, 3))
-    return st.lists(st.one_of(_exprs(), st.lists(factor, max_size=3).map(tuple)), max_size=4)
+    # (int or Fraction); a tuple may hold numbers only
+    number = st.one_of(st.integers(-3, 3), st.sampled_from(
+        [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-4, 3), Fraction(2, 3)]))
+    factor = st.one_of(_exprs(), st.just(ZERO), number)
+    return st.lists(st.one_of(
+        _exprs(), number, st.lists(factor, max_size=3).map(tuple),
+        st.lists(number, min_size=1, max_size=3).map(tuple),
+    ), max_size=4)
+
+
+def _int_where_integral(poly):
+    return all(type(c) is int for c in poly.values() if c.denominator == 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -391,6 +401,38 @@ def test_esum_of_product_terms_matches_the_tree_property(terms):
     got = esum(terms)
     assert got == tree
     assert simplify(got) is got
+    assert _int_where_integral(got.num) and _int_where_integral(got.den)
+
+
+def test_esum_edge_cases():
+    table = SymbolTable(coords=("x",))
+    x = parse("x", table)
+    assert esum(()) == ZERO and eprod(()) == ONE
+    # a zero factor drops its term, but every factor of it is still coerced
+    assert esum(((0, x), (ZERO, 2), (x, -1, ZERO))) == ZERO
+    with pytest.raises(ExprError):
+        esum(((0, 2.5),))
+    with pytest.raises(ExprError):
+        esum(((ZERO, x, 2.5),))
+    assert esum((Fraction(3, 2), (Fraction(2, 3), x))) == parse("3/2 + 2/3*x", table)
+    # number factors whose product is 1, or an integer
+    for got, want in ((esum(((Fraction(3, 2), Fraction(2, 3), x),)), "x"),
+                      (esum(((Fraction(3, 2), Fraction(2, 3)), x, (Fraction(1, 2), 4))), "3 + x")):
+        assert got == parse(want, table)
+        assert all(type(c) is int for c in got.num.values())
+
+
+def test_esum_folds_numbers_without_polynomial_products(monkeypatch):
+    table = SymbolTable(coords=("x", "y"))
+    x, y = parse("x", table), parse("y", table)
+    products = []
+    p_mul = _poly.p_mul
+    monkeypatch.setattr(_poly, "p_mul", lambda a, b: products.append(None) or p_mul(a, b))
+    got = esum(((Fraction(1, 2), x), (-1, y)))
+    # a zero factor read after others costs no product either
+    zero = esum(((x, y, ZERO), (2, x, ZERO, y)))
+    assert products == []
+    assert got == parse("x/2 - y", table) and zero == ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,30 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
     assert builds.count(True) == 1
 
 
+# exact polynomial calls of one run_scenario("sasaki"): counts, not a wall
+# time; a number factor of an esum term costs no p_mul, and folding the
+# numbers changes no reduction
+SASAKI_F_MAKE_CALLS = 188
+SASAKI_P_MUL_CALLS = 691
+
+
+def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):
+    from liftgeo import _poly
+    calls = {"p_mul": 0, "f_make": 0}
+    for name in calls:
+        original = getattr(_poly, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_poly, name, counting)
+    (result,) = run_scenario("sasaki")
+    monkeypatch.undo()
+    assert result.passed
+    assert calls == {"p_mul": SASAKI_P_MUL_CALLS, "f_make": SASAKI_F_MAKE_CALLS}
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("riemann-hypothesis")
