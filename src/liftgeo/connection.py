@@ -79,28 +79,29 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
                 if de != ZERO:
                     d[(l, i, j)] = d[(l, j, i)] = de
     # first-kind symbols Gamma_lij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij),
-    # built only where one of the three derivatives is nonzero
-    half = Fraction(1, 2)
+    # summed over the nonzero derivatives and stored where nonzero
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     first = {}
     for l in range(n):
         for i in range(n):
             for j in range(i, n):
-                if {(i, j, l), (j, i, l), (l, i, j)} & d.keys():
-                    first[(l, i, j)] = esum((
-                        (half, d.get((i, j, l), ZERO)),
-                        (half, d.get((j, i, l), ZERO)),
-                        (-half, d.get((l, i, j), ZERO)),
-                    ))
+                terms = [(s, d[key]) for s, key in
+                         ((half, (i, j, l)), (half, (j, i, l)), (minus_half, (l, i, j))) if key in d]
+                if terms and (e := esum(terms)) != ZERO:
+                    first[(l, i, j)] = e
     pairs = {(i, j) for _, i, j in first}
-    # Gamma^k_ij = g^kl Gamma_lij, along the nonzero entries of row k
+    # Gamma^k_ij = g^kl Gamma_lij, along the nonzero entries of row k that
+    # meet a stored first-kind symbol
     inv_rows = [
         [(l, ginv.entry(k, l)) for l in range(n) if ginv.entry(k, l) != ZERO]
         for k in range(n)
     ]
-    coeffs = {
-        (k, i, j): esum((gkl, first.get((l, i, j), ZERO)) for l, gkl in inv_rows[k])
-        for k in range(n) for i, j in pairs
-    }
+    coeffs = {}
+    for k in range(n):
+        for i, j in pairs:
+            terms = [(gkl, first[l, i, j]) for l, gkl in inv_rows[k] if (l, i, j) in first]
+            if terms:
+                coeffs[(k, i, j)] = esum(terms)
     return Connection(g.chart, coeffs, Frame.NATURAL)
 
 
@@ -150,42 +151,56 @@ def riemann(c: Connection) -> Riemann:
 def _riemann(c: Connection) -> Riemann:
     n = c.chart.dim
     coords = c.chart.coords
-    # dc[h, j, k][i] = d_i Gamma^h_jk and rows[h][i] = the nonzero Gamma^h_il
-    dc = {key: [differentiate(e, x) for x in coords] for key, e in c.coefficients.items()}
-    rows = [[[(l, c.get(h, i, l)) for l in range(n) if c.get(h, i, l) != ZERO]
+    stored = c.coefficients
+
+    def gamma(h, j, k):
+        """The stored Gamma^h_jk, or None."""
+        return stored.get((h, j, k) if j <= k else (h, k, j))
+
+    # dc[h, j, k, i] = d_i Gamma^h_jk (j <= k) and rows[h][i] = the stored
+    # Gamma^h_il, nonzero only
+    dc = {}
+    for key, e in stored.items():
+        for i, x in enumerate(coords):
+            if (de := differentiate(e, x)) != ZERO:
+                dc[key + (i,)] = de
+    rows = [[[(l, e) for l in range(n) if (e := gamma(h, i, l)) is not None]
              for i in range(n)] for h in range(n)]
 
-    def d(h, j, k, i):
-        found = dc.get((h, min(j, k), max(j, k)))
-        return found[i] if found is not None else ZERO
-
     def terms(h, i, j, k):
-        yield d(h, j, k, i)
-        yield -1, d(h, i, k, j)
+        if (t := dc.get((h, min(j, k), max(j, k), i))) is not None:
+            yield t
+        if (t := dc.get((h, min(i, k), max(i, k), j))) is not None:
+            yield -1, t
         for l, hil in rows[h][i]:
-            yield hil, c.get(l, j, k)
+            if (ljk := gamma(l, j, k)) is not None:
+                yield hil, ljk
         for l, hjl in rows[h][j]:
-            yield -1, hjl, c.get(l, i, k)
+            if (lik := gamma(l, i, k)) is not None:
+                yield -1, hjl, lik
 
-    comps = {
-        (h, i, j, k): esum(terms(h, i, j, k))
-        for h in range(n) for i in range(n) for j in range(i + 1, n) for k in range(n)
-    }
+    # a slot with no nonzero term is not summed
+    comps = {}
+    for h in range(n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    if ts := list(terms(h, i, j, k)):
+                        comps[(h, i, j, k)] = esum(ts)
     return Riemann(c.chart, comps)
 
 
 def fiber_contract(r: Riemann) -> dict:
     """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
     tangent chart; a base chart or a constant that already names one is a
-    GeometryError."""
+    GeometryError. It sums the stored R^h_ijk only, and a sum of nonzero
+    base values times distinct fiber coordinates is nonzero."""
     tchart = _tangent_chart(r.chart, r.components.values())
     fibers = [Coord(u) for u in tchart.coords[r.chart.dim:]]
-    keys = dict.fromkeys(key[:3] for key in r.components)
-    out = {
-        key: esum((u, r.components.get(key + (k,), ZERO)) for k, u in enumerate(fibers))
-        for key in keys
-    }
-    return {k: v for k, v in out.items() if v != ZERO}
+    rows: dict = {}
+    for (h, i, j, k), e in r.items():
+        rows.setdefault((h, i, j), []).append((fibers[k], e))
+    return {key: esum(terms) for key, terms in rows.items()}
 
 
 def metric_compatibility_residual(g: Metric, c: Connection) -> dict:
@@ -196,9 +211,19 @@ def metric_compatibility_residual(g: Metric, c: Connection) -> dict:
     """
     n = g.dim
     coords = g.chart.coords
+
+    def terms(k, i, j):
+        entry = g.entry(i, j)
+        if entry != ZERO and (de := differentiate(entry, coords[k])) != ZERO:
+            yield de
+        for l in range(n):
+            if (gam := c.get(l, k, i)) != ZERO and (gl := g.entry(l, j)) != ZERO:
+                yield -1, gam, gl
+        for l in range(n):
+            if (gam := c.get(l, k, j)) != ZERO and (gl := g.entry(i, l)) != ZERO:
+                yield -1, gam, gl
+
     return {
-        (k, i, j): esum([differentiate(g.entry(i, j), coords[k])]
-                        + [(-1, c.get(l, k, i), g.entry(l, j)) for l in range(n)]
-                        + [(-1, c.get(l, k, j), g.entry(i, l)) for l in range(n)])
+        (k, i, j): esum(ts) if (ts := list(terms(k, i, j))) else ZERO
         for k in range(n) for i in range(n) for j in range(i, n)
     }

@@ -413,8 +413,9 @@ def eprod(factors: Iterable) -> Normal:
 
 
 def equivalent(a: Expr, b: Expr) -> bool:
-    """Structural equality after canonicalization (exact, no numerics)."""
-    return esum((a, (-1, b))) == ZERO
+    """Equality of canonical forms (exact, no numerics): a Normal is equal
+    exactly when its reduced pair is, so no difference is built."""
+    return simplify(_as_expr(a)) == simplify(_as_expr(b))
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,22 @@ def _trace(g: Metric, conn_g: Connection, conn_d: Connection,
         [(j, ginv.entry(i, j)) for j in range(n) if ginv.entry(i, j) != ZERO]
         for i in range(n)
     ]
+
+    def difference(k, i, j):
+        """(conn_d - conn_g)^k_ij from the stored values; ZERO if neither
+        connection stores one."""
+        terms = [(s, e) for s, e in ((1, conn_d.get(k, i, j)), (-1, conn_g.get(k, i, j)))
+                 if e != ZERO]
+        return esum(terms) if terms else ZERO
+
     # each slot's difference is reduced before it is weighted: on dense
     # lifted pairs, weighting both connections separately makes the final
     # reduction a far larger gcd
-    residuals = {
-        g.chart.index_name(k): esum(
-            (w, esum((conn_d.get(k, i, j), (-1, conn_g.get(k, i, j)))))
-            for i in range(n) for j, w in weights[i]
-        )
-        for k in range(n)
-    }
+    residuals = {}
+    for k in range(n):
+        terms = [(w, diff) for i in range(n) for j, w in weights[i]
+                 if (diff := difference(k, i, j)) != ZERO]
+        residuals[g.chart.index_name(k)] = esum(terms) if terms else ZERO
     undecided = []
     for label, rho in residuals.items():
         v = ex.is_identically_zero(rho, cfg=cfg)

@@ -96,12 +96,16 @@ def _sasaki_connection(tchart: Chart, conn: Connection, riem: Riemann) -> Connec
     fibers = [Coord(u) for u in tchart.coords[m:]]
     half = Fraction(1, 2)
     coeffs = _base_block(conn, m)
-    # Gamma^k_{ibar j} = Gamma^k_{j ibar} = 1/2 R^k_hij u^h, one sum for both
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                coeffs[(k, i + m, j)] = coeffs[(k, j, i + m)] = esum(
-                    (half, u, riem.get(k, h, i, j)) for h, u in enumerate(fibers))
+    # Gamma^k_{ibar j} = Gamma^k_{j ibar} = 1/2 R^k_hij u^h, one sum for both,
+    # over the stored curvature only: R^k_hij (h < i) gives the term of u^h in
+    # slot (k, i, j) and, negated, the term of u^i in slot (k, h, j); in
+    # sorted order every slot's terms come in ascending h
+    slots: dict = {}
+    for (k, h, i, j), r in riem.items():
+        slots.setdefault((k, i, j), []).append((half, fibers[h], r))
+        slots.setdefault((k, h, j), []).append((half, fibers[i], -r))
+    for (k, i, j), terms in slots.items():
+        coeffs[(k, i + m, j)] = coeffs[(k, j, i + m)] = esum(terms)
     # Gamma^kbar_ij = -1/2 R^k_ij0, antisymmetric in (i, j); stored for i < j
     for (k, i, j), r0 in fiber_contract(riem).items():
         coeffs[(k + m, i, j)] = r0 * -half

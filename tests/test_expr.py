@@ -404,6 +404,16 @@ def test_esum_of_product_terms_matches_the_tree_property(terms):
     assert _int_where_integral(got.num) and _int_where_integral(got.den)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_exprs(), st.one_of(_exprs(), st.integers(-3, 3)), _atoms())
+def test_equivalent_is_a_zero_difference_property(a, b, x):
+    # canonical forms compare equal exactly when the difference is ZERO,
+    # also for values equal by construction
+    for other in (b, (a * x) / x, a + b - b, esum(((2, a),)) / 2):
+        assert equivalent(a, other) == (esum((a, (-1, other))) == ZERO)
+    assert equivalent(a, (a * x) / x) and equivalent(b, b + 0)
+
+
 def test_esum_edge_cases():
     table = SymbolTable(coords=("x",))
     x = parse("x", table)

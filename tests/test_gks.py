@@ -2,7 +2,7 @@
 
 import pytest
 
-from liftgeo.expr import Coord, FuncSymbol, KnownFunc, ZERO, eprod, equivalent
+from liftgeo.expr import Coord, FuncSymbol, KnownFunc, ZERO, eprod, equivalent, esum
 from liftgeo.geometry import validate
 from liftgeo.gks import (
     GksSpec, SCENARIO_NAMES, abstract_spec, build_gks, condition_18,
@@ -224,6 +224,33 @@ def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):
     monkeypatch.undo()
     assert result.passed
     assert calls == {"p_mul": SASAKI_P_MUL_CALLS, "f_make": SASAKI_F_MAKE_CALLS}
+
+
+def test_table_assemblies_sum_nonzero_terms_only(monkeypatch):
+    # the Christoffel, curvature, fiber-contraction, Sasaki and trace sums
+    # of the table scenarios: every term has nonzero factors, no sum is
+    # empty, and a ZERO result is a cancellation, as in the five curvature
+    # slots R^1_3,4,4, R^3_1,4,4, R^4_1,3,4, R^4_1,4,3 and R^4_3,4,1 of
+    # both abstract metrics
+    from liftgeo import connection, harmonicity, lifts
+    sums = []
+
+    def recording(terms):
+        terms = list(terms)
+        sums.append((terms, esum(terms)))
+        return sums[-1][1]
+
+    for module in (connection, harmonicity, lifts):
+        monkeypatch.setattr(module, "esum", recording)
+    run_scenario("all")
+    monkeypatch.undo()
+    for terms, result in sums:
+        assert terms
+        for t in terms:
+            assert not any(f == ZERO or f == 0 for f in (t if isinstance(t, tuple) else (t,)))
+    cancelled = [terms for terms, result in sums if result == ZERO]
+    assert len(cancelled) == 10
+    assert all(len(terms) >= 2 for terms in cancelled)
 
 
 def test_unknown_scenario_rejected():
