@@ -237,8 +237,9 @@ def test_table_assemblies_sum_nonzero_terms_only(monkeypatch):
 
     def recording(terms):
         terms = list(terms)
-        sums.append((terms, esum(terms)))
-        return sums[-1][1]
+        result = esum(terms)
+        sums.append((terms, result))
+        return result
 
     for module in (connection, harmonicity, lifts):
         monkeypatch.setattr(module, "esum", recording)
