@@ -468,7 +468,14 @@ def f_make(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             den = p_exact_div(den, g)
             if p_is_const(den):
                 return p_scale(num, Fraction(1, p_const_value(den))), p_one()
-    # scale so den is integer-primitive with positive leading coefficient
+    return _move_unit(num, den)
+
+
+def _move_unit(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with the unit of den moved into num: den scaled to be
+    integer-primitive with a positive leading coefficient (a constant den
+    becomes 1). The last step of f_make, and all a negative power of a
+    reduced pair needs."""
     top = max(den)
     den_int = _to_integer(den)
     scale = Fraction(den_int[top], den[top] * _int_content(den_int) * _leading_sign(den_int))
@@ -499,6 +506,24 @@ def f_pow(a, n: int):
         num, den = den, num
         n = -n
     return f_make(p_pow(num, n), p_pow(den, n))
+
+
+def f_pow_reduced(a, n: int):
+    """The n-th power of a reduced pair a, with no gcd. Powers of coprime
+    polynomials stay coprime (Gauss's lemma), and the power of an
+    integer-primitive den is integer-primitive with the power of its
+    leading coefficient: the largest monomial of p^n is the n-th power of
+    the largest monomial of p. So a negative power only moves the unit of
+    its new denominator into its numerator, and a power 1 or -1 expands
+    nothing."""
+    num, den = a
+    if n < 0:
+        if p_is_zero(num):
+            raise ZeroDivisionError("division by an identically zero expression")
+        num, den = den, num
+    if abs(n) != 1:
+        num, den = p_normalize(p_pow(num, abs(n))), p_pow(den, abs(n))
+    return _move_unit(num, den) if n < 0 else (num, den)
 
 
 F_ZERO = (p_zero(), p_one())

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .expr import Coord, Expr, ProbeConfig, ZERO, esum, differentiate, simplify
+from ._poly import F_ONE
+from .expr import Coord, Expr, ProbeConfig, ZERO, derivation, esum, simplify
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart, inverse
 
 __all__ = [
@@ -64,9 +65,15 @@ def christoffel(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Connection:
     return _derive(g, "christoffel", lambda: _christoffel(g, ginv))
 
 
+def _partials(chart: Chart) -> list:
+    """d/dx^l for each coordinate of chart, one derivation each, so the
+    values of one assembly share each atom's derivative."""
+    return [derivation({x: F_ONE}) for x in chart.coords]
+
+
 def _christoffel(g: Metric, ginv: Metric) -> Connection:
     n = g.dim
-    coords = g.chart.coords
+    partials = _partials(g.chart)
     # d[l][i][j] = derivative of g_ij along coordinate l (nonzero only)
     d: dict = {}
     for i in range(n):
@@ -75,7 +82,7 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
             if entry == ZERO:
                 continue
             for l in range(n):
-                de = differentiate(entry, coords[l])
+                de = partials[l](entry)
                 if de != ZERO:
                     d[(l, i, j)] = d[(l, j, i)] = de
     # first-kind symbols Gamma_lij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij),
@@ -150,7 +157,7 @@ def riemann(c: Connection) -> Riemann:
 
 def _riemann(c: Connection) -> Riemann:
     n = c.chart.dim
-    coords = c.chart.coords
+    partials = _partials(c.chart)
     stored = c.coefficients
 
     def gamma(h, j, k):
@@ -161,8 +168,8 @@ def _riemann(c: Connection) -> Riemann:
     # Gamma^h_il, nonzero only
     dc = {}
     for key, e in stored.items():
-        for i, x in enumerate(coords):
-            if (de := differentiate(e, x)) != ZERO:
+        for i, d_i in enumerate(partials):
+            if (de := d_i(e)) != ZERO:
                 dc[key + (i,)] = de
     rows = [[[(l, e) for l in range(n) if (e := gamma(h, i, l)) is not None]
              for i in range(n)] for h in range(n)]
@@ -210,11 +217,11 @@ def metric_compatibility_residual(g: Metric, c: Connection) -> dict:
     (the Levi-Civita property, torsion-freeness being structural).
     """
     n = g.dim
-    coords = g.chart.coords
+    partials = _partials(g.chart)
 
     def terms(k, i, j):
         entry = g.entry(i, j)
-        if entry != ZERO and (de := differentiate(entry, coords[k])) != ZERO:
+        if entry != ZERO and (de := partials[k](entry)) != ZERO:
             yield de
         for l in range(n):
             if (gam := c.get(l, k, i)) != ZERO and (gl := g.entry(l, j)) != ZERO:

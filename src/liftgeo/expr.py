@@ -35,7 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import _poly
 from ._poly import Poly  # noqa: F401
@@ -45,7 +45,7 @@ __all__ = [
     "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
     "SubstitutionError", "ResourceLimitError",
-    "parse", "to_string", "simplify", "differentiate", "substitute",
+    "parse", "to_string", "simplify", "derivation", "differentiate", "substitute",
     "eval_numeric", "is_identically_zero", "equivalent", "esum", "eprod",
     "ZERO", "ONE", "KNOWN_FUNCTIONS", "DEFAULT_PROBE_COUNT",
     "DEFAULT_ZERO_TOL", "DEFAULT_EPSILON", "probe_interval",
@@ -128,7 +128,8 @@ class Expr:
     def __pow__(self, n: int):
         """The integer power n. A power that may expand past
         MAX_EXPANSION_TERMS terms is a ResourceLimitError, and a negative
-        power of 0 an ExprError."""
+        power of 0 an ExprError. The base is a reduced pair, so its power
+        is reduced without a gcd."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise ExprError("exponents are restricted to integers")
         base = _frac_of(self)
@@ -139,12 +140,14 @@ class Expr:
                     f"expand past {MAX_EXPANSION_TERMS} terms"
                 )
         try:
-            return Normal(_poly.f_pow(base, n))
+            return Normal(_poly.f_pow_reduced(base, n))
         except ZeroDivisionError:
             raise ExprError("division by an identically zero expression") from None
 
     def __neg__(self):
-        return eprod((-1, self))
+        """Only the numerator of the reduced pair changes sign."""
+        num, den = _frac_of(self)
+        return Normal((_poly.p_neg(num), den))
 
     def __str__(self):
         return to_string(self)
@@ -235,17 +238,23 @@ def _as_expr(x) -> Expr:
 
 class _AtomKey(tuple):
     """A polynomial indeterminate: it hashes, compares and sorts as the tuple
-    (kind, name, var, order, argument text) and carries its atom node."""
+    (kind, name, var, order, argument text) and carries its atom node. The
+    argument text is to_string of the argument unless the caller knows it:
+    the name of a bare coordinate, or the text of the atom a jet or a
+    built-in's derivative came from."""
 
-    def __new__(cls, atom: Expr):
+    def __new__(cls, atom: Expr, text: Optional[str] = None):
         if isinstance(atom, Coord):
             key = (0, atom.name, "", 0, "")
         elif isinstance(atom, Const):
             key = (1, atom.name, "", 0, "")
-        elif isinstance(atom, FuncApp):
-            key = (2, atom.func.name, atom.func.var, atom.order, to_string(atom.arg))
         else:
-            key = (3, atom.kind, "", 0, to_string(atom.arg))
+            if text is None:
+                text = to_string(atom.arg)
+            if isinstance(atom, FuncApp):
+                key = (2, atom.func.name, atom.func.var, atom.order, text)
+            else:
+                key = (3, atom.kind, "", 0, text)
         self = super().__new__(cls, key)
         self.atom = atom
         return self
@@ -255,15 +264,18 @@ def _frac_of(e: Expr):
     """The reduced (num, den) pair of a value or of an atom."""
     if isinstance(e, Normal):
         return e.num, e.den
-    if isinstance(e, FuncApp):
+    text = None
+    if isinstance(e, (FuncApp, KnownFunc)):
+        text = e.arg.name if isinstance(e.arg, Coord) else None
         arg = simplify(e.arg)
-        if e.func.body is not None:
+        if isinstance(e, KnownFunc):
+            e = KnownFunc(e.kind, arg)
+        elif e.func.body is None:
+            e = FuncApp(e.func, e.order, arg)
+        else:
             return _frac_of(_apply_body(e.func.body, e.func.var, e.order, arg))
-        e = FuncApp(e.func, e.order, arg)
-    elif isinstance(e, KnownFunc):
-        e = KnownFunc(e.kind, simplify(e.arg))
     if isinstance(e, (Coord, Const, FuncApp, KnownFunc)):
-        return _poly.p_atom(_AtomKey(e)), _poly.p_one()
+        return _poly.p_atom(_AtomKey(e, text)), _poly.p_one()
     raise ExprError(f"unsupported node {type(e).__name__}")
 
 
@@ -421,29 +433,37 @@ def equivalent(a: Expr, b: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _known_derivative(kind: str, arg: Expr) -> Expr:
+def _known_derivative(key: _AtomKey) -> Expr:
+    """The derivative of the built-in application key.atom in its argument;
+    the built-ins it names reuse the argument text of key."""
+    kind, arg = key.atom.kind, key.atom.arg
+
+    def of_arg(name: str) -> Normal:
+        return Normal((_poly.p_atom(_AtomKey(KnownFunc(name, arg), key[4])), _poly.p_one()))
+
     if kind == "sin":
-        return KnownFunc("cos", arg)
+        return of_arg("cos")
     if kind == "cos":
-        return -KnownFunc("sin", arg)
+        return -of_arg("sin")
     if kind == "sinh":
-        return KnownFunc("cosh", arg)
+        return of_arg("cosh")
     if kind == "cosh":
-        return KnownFunc("sinh", arg)
+        return of_arg("sinh")
     if kind == "tan":
-        return 1 + KnownFunc("tan", arg) ** 2
+        return 1 + of_arg("tan") ** 2
     if kind == "exp":
-        return KnownFunc("exp", arg)
+        return of_arg("exp")
     if kind == "log":
         return arg ** -1
     if kind == "sqrt":
-        return eprod((Fraction(1, 2), KnownFunc("sqrt", arg) ** -1))
+        return eprod((Fraction(1, 2), of_arg("sqrt") ** -1))
     raise ExprError(f"no derivative rule for {kind!r}")
 
 
-def _d_atom(atom: Expr, field: Mapping, memo: dict):
-    """The derivative of atom along field as a (num, den) pair, or None when
-    it is 0."""
+def _d_atom(key: _AtomKey, field: Mapping, memo: dict):
+    """The derivative of the atom of key along field as a (num, den) pair,
+    or None when it is 0."""
+    atom = key.atom
     if isinstance(atom, Coord):
         return field.get(atom.name)
     if isinstance(atom, Const):
@@ -453,9 +473,9 @@ def _d_atom(atom: Expr, field: Mapping, memo: dict):
         return None
     if isinstance(atom, FuncApp):
         jet = FuncApp(atom.func, atom.order + 1, atom.arg)
-        outer = _poly.p_atom(_AtomKey(jet)), _poly.p_one()
+        outer = _poly.p_atom(_AtomKey(jet, key[4])), _poly.p_one()
     else:
-        outer = _frac_of(_known_derivative(atom.kind, atom.arg))
+        outer = _frac_of(_known_derivative(key))
     if _poly.p_is_const(outer[1]) and _poly.p_is_const(inner[1]):
         return _poly.p_mul(outer[0], inner[0]), _poly.p_one()
     return _poly.f_mul(outer, inner)
@@ -489,13 +509,14 @@ def _d_nf(fr, field: Mapping, memo: dict):
     field maps a coordinate name to the (num, den) pair of its component; a
     coordinate it does not name has component 0. So {v: F_ONE} is d/dv, and
     {x^l: u^l} is u^l d_l, the complete lift of a base value in one pass.
-    memo keeps each atom's derivative. The finite-difference oracle evaluates
-    the pair as it is; _reduced reduces it."""
+    memo keeps each atom's derivative along field, so one memo serves every
+    value derived along the same field. The finite-difference oracle
+    evaluates the pair as it is; _reduced reduces it."""
     num, den = fr
     derivs = {}
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
         if key not in memo:
-            memo[key] = _d_atom(key.atom, field, memo)
+            memo[key] = _d_atom(key, field, memo)
         if memo[key] is not None:
             derivs[key] = memo[key]
     if not derivs:
@@ -518,13 +539,27 @@ def _reduced(fr):
     return (_poly.p_scale(a, 1), b) if _poly.p_is_const(b) else _poly.f_make(a, b)
 
 
+def derivation(field: Mapping) -> Callable[[Expr], Normal]:
+    """The derivative along a vector field, as a function of a value: the
+    quotient rule on the value's (num, den) pair and the chain rule through
+    each polynomial atom (a coordinate, an abstract-function jet or a
+    built-in function of its argument), reduced once. field maps a
+    coordinate name to the (num, den) pair of its component.
+
+    One atom memo serves every value the function is given, so each atom is
+    derived once per field; the memo lives as long as the function."""
+    memo: dict = {}
+
+    def derive(e: Expr) -> Normal:
+        return Normal(_reduced(_d_nf(_frac_of(e), field, memo)))
+
+    return derive
+
+
 def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
-    """Partial derivative in v, computed on the normal form of e: the
-    quotient rule on (num, den), and the chain rule through each polynomial
-    atom (a coordinate, an abstract-function jet or a built-in function of
-    its argument)."""
+    """Partial derivative of e in v: derivation({v: 1})(e)."""
     name = v.name if isinstance(v, Coord) else v
-    return Normal(_reduced(_d_nf(_frac_of(e), {name: _poly.F_ONE}, {})))
+    return derivation({name: _poly.F_ONE})(e)
 
 
 # ---------------------------------------------------------------------------

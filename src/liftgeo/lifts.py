@@ -11,9 +11,10 @@ does not apply to them. The Sasaki connection adds one fiber contraction
 1/2 R^k_hij u^h per (k, i, j), shared by the slots (ibar, j) and (j, ibar),
 and Gamma^kbar_ij = -1/2 R^k_ij0 from fiber_contract. The complete lift
 lives in induced coordinates. The complete lift of a base value v is
-v^C = u^l d_l v, one derivation along the fiber field {x^l: u^l}, reduced
-once; it gives the base block of g^C and, since the connection of g^C is
-the complete lift of the base connection (Yano-Kobayashi),
+v^C = u^l d_l v, the derivation along the fiber field {x^l: u^l}, reduced
+once; one derivation serves every value of a lift build, so each atom is
+derived once. It gives the base block of g^C and, since the connection of
+g^C is the complete lift of the base connection (Yano-Kobayashi),
 Gamma^kbar_ij = (Gamma^k_ij)^C. Each lift connection is kept on its metric.
 Harmonicity reads none of these: lifted_harmonicity maps the base traces,
 and the lift scenarios of gks check that map against these tables.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .expr import Coord, Expr, Normal, ProbeConfig, esum, _d_nf, _frac_of, _reduced
+from .expr import Coord, ProbeConfig, derivation, esum, _frac_of
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
 from .connection import Connection, Riemann, christoffel, fiber_contract, riemann
 
@@ -54,7 +55,7 @@ def lift_metric(g: Metric, kind: LiftKind) -> Metric:
 def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
     tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
-    fibers = _fiber_field(tchart)
+    complete_lift = derivation(_fiber_field(tchart))
     entries: dict = {}
     for (i, j), v in g.items():
         if kind is LiftKind.SASAKI:
@@ -62,21 +63,15 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
         else:
             entries[(i, j + m)] = entries[(j, i + m)] = v
         if kind is LiftKind.COMPLETE:
-            entries[(i, j)] = _along_fibers(v, fibers)
+            entries[(i, j)] = complete_lift(v)
     frame = Frame.NATURAL if kind is LiftKind.COMPLETE else Frame.ADAPTED
     return Metric.from_entries(tchart, entries, frame)
 
 
 def _fiber_field(tchart: Chart) -> dict:
-    """{x^l: u^l}, the field u^l d_l of the complete lift, as _d_nf reads it."""
+    """{x^l: u^l}, the field u^l d_l of the complete lift, as derivation reads it."""
     m = tchart.base.dim
     return {x: _frac_of(Coord(u)) for x, u in zip(tchart.coords[:m], tchart.coords[m:])}
-
-
-def _along_fibers(v: Expr, fibers: dict) -> Normal:
-    """u^l d_l v, the complete lift of a base value v: one derivation along
-    the fiber field, reduced once."""
-    return Normal(_reduced(_d_nf(_frac_of(v), fibers, {})))
 
 
 def _base_block(conn: Connection, shift: int) -> dict:
@@ -124,19 +119,20 @@ def lift_connection(
     on every call, with this call's cfg.
     """
     kind = LiftKind(kind)
-    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     conn = christoffel(g, cfg=cfg)
-    return _derive(g, ("lift connection", kind), lambda: _lift_connection(tchart, conn, kind))
+    return _derive(g, ("lift connection", kind), lambda: _lift_connection(g, conn, kind))
 
 
-def _lift_connection(tchart: Chart, conn: Connection, kind: LiftKind) -> Connection:
+def _lift_connection(g: Metric, conn: Connection, kind: LiftKind) -> Connection:
+    # a fiber-name clash raises here, and a failed build is not kept
+    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
     if kind is LiftKind.COMPLETE:
         # the complete lift of conn; Gamma^kbar_{ibar j} is stored as Gamma^kbar_{j ibar}
         m = conn.chart.dim
-        fibers = _fiber_field(tchart)
+        complete_lift = derivation(_fiber_field(tchart))
         coeffs = _base_block(conn, m)
         for (k, i, j), gam in conn.items():
-            coeffs[(k + m, i, j)] = _along_fibers(gam, fibers)
+            coeffs[(k + m, i, j)] = complete_lift(gam)
         return Connection(tchart, coeffs, Frame.NATURAL)
     if kind is LiftKind.HORIZONTAL:
         return Connection(tchart, _base_block(conn, 0), Frame.ADAPTED)

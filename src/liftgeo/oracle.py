@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 from . import expr as ex
 from ._poly import F_ONE
 from .expr import (
-    Coord, Expr, FuncSymbol, ProbeConfig, ZERO,
+    Coord, Expr, FuncSymbol, ProbeConfig,
     _d_nf, simplify, substitute, to_string,
 )
 
@@ -146,7 +146,8 @@ def reconcile_with_paper(
 
     Mismatches are first-class results, never aborts: each carries the
     printed canonical difference and, when available, a numeric witness
-    point.
+    point. An entry whose canonical forms are equal is a match, and its
+    difference is never built.
     """
     if set(computed) != set(expected):
         missing = sorted(set(expected) - set(computed))
@@ -156,10 +157,10 @@ def reconcile_with_paper(
         )
     entries = []
     for name in sorted(computed):
-        diff = simplify(computed[name] - expected[name])
-        if diff == ZERO:
+        if ex.equivalent(computed[name], expected[name]):
             entries.append(ReconEntry(name, "match"))
             continue
+        diff = simplify(computed[name] - expected[name])
         verdict = ex.is_identically_zero(diff, cfg=cfg)
         if verdict.is_nonzero:
             entries.append(ReconEntry(

@@ -241,8 +241,8 @@ def test_deeply_nested_entry_is_usage_error(tmp_path, capsys):
 
 def test_expansion_past_the_term_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     powers = []
-    f_pow = _poly.f_pow
-    monkeypatch.setattr(_poly, "f_pow", lambda *a: powers.append(a) or f_pow(*a))
+    p_pow = _poly.p_pow
+    monkeypatch.setattr(_poly, "p_pow", lambda *a: powers.append(a) or p_pow(*a))
     p = tmp_path / "power.metric"
     p.write_text("chart x y\ng 1 1 = (1+x+y)^400\ng 2 2 = 1\n")
     code, _, err = run(capsys, "christoffel", str(p))

@@ -201,3 +201,28 @@ def test_christoffel_assembles_each_component_once(monkeypatch):
     conn = connection._christoffel(lifted, ginv)
     assert len(calls) <= 100
     assert all(v == ZERO for v in metric_compatibility_residual(lifted, conn).values())
+
+
+# atom derivations of the abstract GKS metric's assemblies: each atom is
+# derived once per coordinate in an assembly, not once per value
+CHRISTOFFEL_ATOM_DERIVATIONS = 20
+RIEMANN_ATOM_DERIVATIONS = 32
+
+
+def test_each_atom_is_derived_once_per_coordinate_per_assembly(monkeypatch):
+    # a fresh base metric, so no connection or curvature is kept from another test
+    from liftgeo import expr
+    from liftgeo.gks import abstract_spec, build_gks
+    g = build_gks(abstract_spec())
+    calls = []
+    d_atom = expr._d_atom
+    monkeypatch.setattr(expr, "_d_atom",
+                        lambda key, field, memo: calls.append((key, id(field))) or
+                        d_atom(key, field, memo))
+    conn = christoffel(g)
+    assert len(calls) == CHRISTOFFEL_ATOM_DERIVATIONS
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    riemann(conn)
+    assert len(calls) == RIEMANN_ATOM_DERIVATIONS
+    assert len(set(calls)) == len(calls)

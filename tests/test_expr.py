@@ -16,8 +16,8 @@ from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc, Normal,
     ParseError, ProbeConfig, SingularPointError, SubstitutionError,
     SymbolTable, ONE, ZERO,
-    differentiate, eprod, equivalent, esum, eval_numeric, is_identically_zero, parse,
-    simplify, substitute, to_string, _d_nf, _frac_of, _reduced,
+    derivation, differentiate, eprod, equivalent, esum, eval_numeric, is_identically_zero,
+    parse, simplify, substitute, to_string, _d_nf, _frac_of, _reduced,
 )
 
 from conftest import full_symbols, ref
@@ -545,3 +545,46 @@ def test_derivation_along_a_field_is_the_sum_of_its_partials_property(raw, w1, w
     field = {"t": _frac_of(w1), "theta": _frac_of(w2)}
     got = Normal(_reduced(_d_nf(_frac_of(e), field, {})))
     assert got == esum(eprod((w, differentiate(e, v))) for v, w in (("t", w1), ("theta", w2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exprs(), min_size=1, max_size=4), st.sampled_from(["t", "theta"]), st.data())
+def test_one_derivation_serves_every_value_property(raws, v, data):
+    # one atom memo for every value, in any order and with a value repeated
+    values = [simplify(raw) for raw in raws]
+    order = data.draw(st.permutations(range(len(values))), label="order")
+    d_v = derivation({v: _poly.F_ONE})
+    got = {i: d_v(values[i]) for i in [*order, order[0]]}
+    assert all(got[i] == differentiate(values[i], v) for i in range(len(values)))
+
+
+def _typed_pair(fr) -> list:
+    return [sorted((m, type(c).__name__, c) for m, c in p.items()) for p in fr]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs(), _exprs(), st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 5)]),
+       st.integers(-3, 3))
+def test_power_and_negation_of_a_value_are_its_reduced_pairs_property(raw_a, raw_b, c, n):
+    # c*a/b: Fraction content, and a multi-term denominator whenever b is a
+    # sum; the power or negation of a value equals f_make of the unreduced
+    # pair (f_pow reduces any pair), coefficient types included
+    b = simplify(raw_b)
+    assume(b != ZERO)
+    x = eprod((c, raw_a, b ** -1))
+    assert _typed_pair(_frac_of(-x)) == _typed_pair(_poly.f_make(_poly.p_neg(x.num), x.den))
+    assume(n >= 0 or x != ZERO)
+    assert _typed_pair(_frac_of(x ** n)) == _typed_pair(_poly.f_pow((x.num, x.den), n))
+
+
+def test_power_and_negation_of_a_value_take_no_reduction(monkeypatch):
+    x = parse("(1/2*X(t) - 3*t^2)/(2*Y(t) + 4*t)", syms())
+
+    def refuse(*args):
+        raise AssertionError("a reduced pair was reduced again")
+
+    monkeypatch.setattr(_poly, "f_make", refuse)
+    monkeypatch.setattr(_poly, "p_gcd", refuse)
+    powers = {n: x ** n for n in range(-3, 4)}
+    assert powers[-1] ** -1 == x and -(-x) == x
+    assert powers[0] == ONE and powers[1] == x

@@ -204,9 +204,11 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
 
 # exact polynomial calls of one run_scenario("sasaki"): counts, not a wall
 # time; a number factor of an esum term costs no p_mul, and folding the
-# numbers changes no reduction
-SASAKI_F_MAKE_CALLS = 188
-SASAKI_P_MUL_CALLS = 691
+# numbers changes no reduction; each atom is derived once per coordinate per
+# assembly, a power or negation of a value is not reduced again, and a
+# matching table entry builds no difference
+SASAKI_F_MAKE_CALLS = 154
+SASAKI_P_MUL_CALLS = 569
 
 
 def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):

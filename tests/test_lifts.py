@@ -95,9 +95,25 @@ def test_constant_named_like_a_fiber_coordinate_is_rejected():
     refused = [lambda kind=kind: lift_metric(g, kind) for kind in LiftKind]
     refused += [lambda kind=kind: lift_connection(g, kind) for kind in LiftKind]
     refused.append(lambda: fiber_contract(riemann(conn)))
-    for build in refused:
+    # the lifts check the clash inside their kept builds, and a failed build
+    # keeps nothing, so a second call fails again
+    for build in refused + refused:
         with pytest.raises(GeometryError, match="u1"):
             build()
+    assert not [key for key in g._derived if key[0] in ("lift", "lift connection")]
+
+
+def test_lift_connection_reads_the_tangent_chart_once_per_build(monkeypatch):
+    # a kept lift connection walks no metric value again
+    g = Metric.from_entries(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
+    charts = []
+    tangent_chart = lifts._tangent_chart
+    monkeypatch.setattr(lifts, "_tangent_chart",
+                        lambda chart, values: charts.append(chart) or tangent_chart(chart, values))
+    for _ in range(3):
+        for kind in LiftKind:
+            lift_connection(g, kind)
+    assert len(charts) == len(LiftKind)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liftgeo import _poly, cli, oracle
-from liftgeo.expr import ZERO
+from liftgeo.expr import ZERO, to_string
 from liftgeo.connection import christoffel, riemann
 from liftgeo.geometry import load_metric_document
 from liftgeo.oracle import (
@@ -148,12 +148,20 @@ def test_reconcile_empty_maps():
     assert reconcile_with_paper({}, {}) == ()
 
 
-def test_reconcile_matching_tables(gks_metric):
+def test_reconcile_matching_tables(gks_metric, monkeypatch):
+    # the expected values are equal to the computed ones but built apart; a
+    # match builds no difference, so no sum is made
+    from liftgeo import expr
     conn = christoffel(gks_metric)
     computed = {conn.display_key(*key): v for key, v in conn.items()}
-    entries = reconcile_with_paper(computed, dict(computed))
+    expected = {name: ref(to_string(v)) for name, v in computed.items()}
+    sums = []
+    esum = expr.esum
+    monkeypatch.setattr(expr, "esum", lambda terms: sums.append(terms) or esum(terms))
+    entries = reconcile_with_paper(computed, expected)
     assert [e.name for e in entries] == sorted(computed)
     assert all(e.status == "match" and e.difference is None for e in entries)
+    assert sums == []
 
 
 def test_reconcile_flags_mismatch_with_witness():
