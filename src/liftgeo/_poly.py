@@ -130,7 +130,8 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
 
 
 def p_normalize(a: Poly) -> Poly:
-    """a itself, with each integral coefficient made an int in place."""
+    """a itself, with each integral coefficient made an int in place; only
+    for a dict its caller built, never for one a stored pair may share."""
     for m, v in a.items():
         if type(v) is not int and v.denominator == 1:
             a[m] = v.numerator
@@ -475,7 +476,18 @@ def _move_unit(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num/den with the unit of den moved into num: den scaled to be
     integer-primitive with a positive leading coefficient (a constant den
     becomes 1). The last step of f_make, and all a negative power of a
-    reduced pair needs."""
+    reduced pair needs.
+
+    A monomial den with the int coefficient 1 has its unit already: the
+    pair comes back as given, except that a num with an integral Fraction
+    coefficient is replaced by a copy with ints. So the result may share
+    its dicts with the arguments, and no caller mutates it in place."""
+    if len(den) == 1:
+        (unit,) = den.values()
+        if type(unit) is int and unit == 1:
+            if any(type(c) is not int and c.denominator == 1 for c in num.values()):
+                num = p_normalize(dict(num))
+            return num, den
     top = max(den)
     den_int = _to_integer(den)
     scale = Fraction(den_int[top], den[top] * _int_content(den_int) * _leading_sign(den_int))

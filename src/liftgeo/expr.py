@@ -377,9 +377,12 @@ def esum(terms: Iterable) -> Normal:
     while every denominator is 1) add as plain polynomials; a term over
     another denominator joins through f_add. One f_make reduces the result
     unless its denominator is 1; then the numerator, a dict esum built
-    itself, has each integral coefficient made an int in place."""
+    itself, has each integral coefficient made an int in place. Nor is a
+    sum reduced that is one number times one value over a denominator
+    other than 1: scaling a reduced pair's numerator keeps it reduced."""
     p_mul, p_add, p_is_const = _poly.p_mul, _poly.p_add, _poly.p_is_const
     num, den, unit = _poly.p_zero(), _poly.p_one(), True  # unit: den is 1
+    scaled = False  # the sum so far is a number times one value, den not 1
     for t in terms:
         c, fracs = 1, []
         for f in (t if isinstance(t, tuple) else (t,)):
@@ -406,6 +409,7 @@ def esum(terms: Iterable) -> Normal:
                     td = d if p_is_const(td) else p_mul(td, d)
             if c != 1:
                 tn = _poly.p_scale(tn, c)
+        scaled = unit and not num and len(fracs) == 1 and not p_is_const(td)
         if p_is_const(td):
             num = p_add(num, tn if unit else p_mul(tn, den))
         elif unit:
@@ -417,7 +421,7 @@ def esum(terms: Iterable) -> Normal:
             unit = p_is_const(den)
     if unit:
         return Normal((_poly.p_normalize(num), den))
-    return Normal(_poly.f_make(num, den))
+    return Normal((num, den) if scaled else _poly.f_make(num, den))
 
 
 def eprod(factors: Iterable) -> Normal:

@@ -142,8 +142,9 @@ def _derive(owner, key, build):
 
 
 def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:
-    if not rows:
-        return ex.ONE
+    """The minor of the nonempty rows and cols; a 1x1 minor is its entry."""
+    if len(rows) == 1:
+        return entry(rows[0], cols[0])
     key = (rows, cols)
     found = memo.get(key)
     if found is not None:
@@ -195,7 +196,9 @@ def _determinant(g: Metric) -> Expr:
 
 def inverse(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Metric:
     """Exact inverse as a Metric on the same chart: each diagonal block of g's
-    nonzero pattern is its adjugate over its determinant, all else is 0.
+    nonzero pattern is its adjugate over its determinant, all else is 0. A
+    1x1 block is the reciprocal of its entry, one negative power of a
+    reduced pair with no product and no reduction.
 
     Nondegeneracy is certified on every call: the determinant's zero test
     runs with this call's cfg, while the inverse itself is built once.
@@ -217,6 +220,10 @@ def _inverse(g: Metric, det: Expr) -> Metric:
     memo: dict = {}
     rows = [[ZERO] * n for _ in range(n)]
     for block in _blocks(g):
+        if len(block) == 1:
+            (i,) = block
+            rows[i][i] = g.entry(i, i) ** -1
+            continue
         inv_det = (det if len(block) == n else _det_minor(block, block, g.entry, memo)) ** -1
         for a, i in enumerate(block):
             for b, j in enumerate(block):

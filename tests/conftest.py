@@ -1,6 +1,6 @@
 import pytest
 
-from liftgeo import connection, geometry, lifts
+from liftgeo import _poly, connection, geometry, lifts
 from liftgeo.expr import ONE, ZERO, FuncSymbol, ProbeConfig, SymbolTable, esum, parse
 from liftgeo.geometry import Chart, Metric
 from liftgeo.gks import abstract_spec, build_gks, example_pair, hatted_abstract_spec
@@ -23,6 +23,21 @@ def full_symbols() -> SymbolTable:
 
 def ref(text: str):
     return parse(text, full_symbols())
+
+
+def count_poly_calls(monkeypatch) -> dict:
+    """Calls of _poly.p_mul and _poly.f_make from now until
+    monkeypatch.undo(), by name."""
+    calls = {"p_mul": 0, "f_make": 0}
+    for name in calls:
+        original = getattr(_poly, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_poly, name, counting)
+    return calls
 
 
 def identity_matrix(n: int) -> tuple:

@@ -1,8 +1,11 @@
 """Christoffel coefficients, curvature, fiber contraction, compatibility."""
 
+from fractions import Fraction
+
 import pytest
 
-from liftgeo.expr import ZERO, equivalent, esum, simplify
+from liftgeo import _poly
+from liftgeo.expr import Normal, ZERO, equivalent, esum, simplify
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
@@ -129,6 +132,20 @@ def test_fiber_contraction_entries(gks_riemann):
     assert fc[(1, 0, 1)] == ref("u1*X''(t)/X(t)")
     assert fc[(2, 1, 2)] == ref("-u2*X(t)*X'(t)*Y'(t)/Y(t)")
     assert len(fc) == 12
+
+
+def test_a_number_times_a_contraction_takes_no_reduction(gks_riemann, monkeypatch):
+    # the barred Sasaki slots -1/2 R^k_ij0 and 1/2 R^k_ij0: scaling the
+    # numerator of a reduced pair keeps it reduced
+    fc = fiber_contract(gks_riemann)
+    calls = []
+    f_make = _poly.f_make
+    monkeypatch.setattr(_poly, "f_make", lambda *a: calls.append(a) or f_make(*a))
+    halves = {key: v * Fraction(1, 2) for key, v in fc.items()}
+    monkeypatch.undo()
+    assert len(halves) == 12 and calls == []
+    for key, v in fc.items():
+        assert halves[key] == Normal(_poly.f_make(_poly.p_scale(v.num, Fraction(1, 2)), v.den))
 
 
 def test_fiber_contraction_of_flat_is_empty():

@@ -1,5 +1,7 @@
 """Charts, metrics, exact inverse/determinant, validation, metric files."""
 
+from fractions import Fraction
+
 import pytest
 
 from liftgeo.expr import ZERO, equivalent, simplify, to_string
@@ -9,7 +11,7 @@ from liftgeo.geometry import (
 )
 from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 
-from conftest import identity_matrix, matrix_mul, ref
+from conftest import count_poly_calls, identity_matrix, matrix_mul, ref
 
 
 def test_tangent_chart_layout():
@@ -126,18 +128,62 @@ def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
 # ---------------------------------------------------------------------------
 # block inversion
 
-def test_inverse_and_determinant_by_blocks():
+BLOCK_METRICS = [
     # a coupled 2x2 block on {t, theta} and a 1x1 block on {r}
-    from liftgeo.geometry import _det_minor
-    chart = Chart(("t", "r", "theta"))
-    g = Metric.from_entries(chart, {
-        (0, 0): ref("t^2"), (0, 2): ref("theta"), (2, 2): ref("1 + t"),
-        (1, 1): ref("X(t)"),
-    })
-    assert matrix_mul(g.components, inverse(g).components) == identity_matrix(3)
-    assert inverse(g).entry(0, 1) == inverse(g).entry(1, 2) == ZERO
-    idx = (0, 1, 2)
-    assert determinant(g) == _det_minor(idx, idx, g.entry, {})
+    (("t", "r", "theta"), {(0, 0): "t^2", (0, 2): "theta", (2, 2): "1 + t", (1, 1): "X(t)"}),
+    # 1x1 blocks on {t} and {y} around a 2x2 block on {x, z}: a monomial
+    # denominator, a negative leading coefficient and a Fraction coefficient
+    (("t", "x", "y", "z"), {(0, 0): "-t^2/3", (1, 1): "x", (1, 3): "t/x",
+                            (3, 3): "1 + x^2", (2, 2): "(1 + t)/(2*x*y)"}),
+]
+
+
+def test_inverse_and_determinant_by_blocks():
+    from liftgeo.geometry import _blocks, _det_minor
+    for coords, entries in BLOCK_METRICS:
+        chart = Chart(coords)
+        g = Metric.from_entries(chart, {key: ref(text) for key, text in entries.items()})
+        n = chart.dim
+        assert matrix_mul(g.components, inverse(g).components) == identity_matrix(n)
+        block_of = {i: b for b in _blocks(g) for i in b}
+        assert all(inverse(g).entry(i, j) == ZERO
+                   for i in range(n) for j in range(n) if j not in block_of[i])
+        idx = tuple(range(n))
+        assert determinant(g) == _det_minor(idx, idx, g.entry, {})
+
+
+@pytest.mark.parametrize("kind", [None, LiftKind.SASAKI])
+def test_one_by_one_blocks_invert_without_products(kind, monkeypatch):
+    # the abstract GKS metric and its Sasaki lift are diagonal: every block
+    # is one reciprocal, with no polynomial product and no reduction
+    from liftgeo import geometry
+    from liftgeo.gks import abstract_spec, build_gks
+    g = build_gks(abstract_spec())
+    g = g if kind is None else lift_metric(g, kind)
+    det = determinant(g)
+    calls = count_poly_calls(monkeypatch)
+    ginv = geometry._inverse(g, det)
+    monkeypatch.undo()
+    assert calls == {"p_mul": 0, "f_make": 0}
+    assert matrix_mul(g.components, ginv.components) == identity_matrix(g.dim)
+
+
+def test_shared_pairs_are_never_mutated():
+    # a reciprocal, a 1x1 inverse entry and an esum result may share the
+    # dicts of the value they read
+    from liftgeo.expr import eprod, esum
+    values = [ref(text) for text in ("X(t)^2/(2*t)", "-3/t^2", "t/(1 + t)", "X(t)/t^2")]
+    before = [(dict(v.num), dict(v.den)) for v in values]
+    g = Metric.from_entries(Chart(("t", "r", "theta", "phi")),
+                            {(i, i): v for i, v in enumerate(values)})
+    ginv = inverse(g)
+    for i, v in enumerate(values):
+        r = v ** -1
+        assert ginv.entry(i, i) == r and r ** -1 == v
+        for e in (r, ginv.entry(i, i), v):
+            assert eprod((Fraction(1, 2), e)) + eprod((e, 3)) == eprod((Fraction(7, 2), e))
+            assert esum((e, (-2, e))) == -e and eprod((e, e ** -1)) == ref("1")
+    assert [(v.num, v.den) for v in values] == before
 
 
 def test_zero_one_by_one_block_is_degenerate():

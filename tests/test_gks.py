@@ -12,7 +12,7 @@ from liftgeo.gks import (
 from liftgeo.harmonicity import harmonicity_residuals
 from liftgeo.oracle import ProbeConfig
 
-from conftest import ref
+from conftest import count_poly_calls, ref
 
 
 def test_build_abstract_family(gks_metric):
@@ -205,23 +205,15 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
 # exact polynomial calls of one run_scenario("sasaki"): counts, not a wall
 # time; a number factor of an esum term costs no p_mul, and folding the
 # numbers changes no reduction; each atom is derived once per coordinate per
-# assembly, a power or negation of a value is not reduced again, and a
-# matching table entry builds no difference
-SASAKI_F_MAKE_CALLS = 154
-SASAKI_P_MUL_CALLS = 569
+# assembly, a power or negation of a value is not reduced again, a
+# matching table entry builds no difference, a 1x1 block of an inverse is
+# one reciprocal, and a number times a value is not reduced again
+SASAKI_F_MAKE_CALLS = 110
+SASAKI_P_MUL_CALLS = 509
 
 
 def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):
-    from liftgeo import _poly
-    calls = {"p_mul": 0, "f_make": 0}
-    for name in calls:
-        original = getattr(_poly, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(_poly, name, counting)
+    calls = count_poly_calls(monkeypatch)
     (result,) = run_scenario("sasaki")
     monkeypatch.undo()
     assert result.passed
