@@ -515,7 +515,12 @@ def _d_nf(fr, field: Mapping, memo: dict):
     {x^l: u^l} is u^l d_l, the complete lift of a base value in one pass.
     memo keeps each atom's derivative along field, so one memo serves every
     value derived along the same field. The finite-difference oracle
-    evaluates the pair as it is; _reduced reduces it."""
+    evaluates the pair as it is; _reduced reduces it.
+
+    A field with a component over a denominator other than 1 is split by
+    those denominators (_d_over_denominators)."""
+    if not all(_poly.p_is_const(d) for _, d in field.values()):
+        return _d_over_denominators(fr, field, memo)
     num, den = fr
     derivs = {}
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
@@ -534,6 +539,40 @@ def _d_nf(fr, field: Mapping, memo: dict):
         _poly.p_sub(_poly.p_mul(_poly.p_mul(a, d), den), _poly.p_mul(_poly.p_mul(num, c), b)),
         _poly.p_mul(_poly.p_mul(b, d), _poly.p_mul(den, den)),
     )
+
+
+def _d_over_denominators(fr, field: Mapping, memo: dict):
+    """The derivative along field as the sum over the distinct denominators
+    d of its components of 1/d times the derivative along the polynomial
+    field of their numerators. Each part is reduced and then divided by its
+    own d, so a gcd meets one component denominator at a time and a part
+    that shares a factor with d loses it there, before the parts join,
+    unreduced, over the lcm of what is left of the denominators. Each part's
+    atom memo is kept in memo under its d."""
+    parts: dict = {}
+    for v, (n, d) in field.items():
+        parts.setdefault(frozenset(d.items()), (d, {}))[1][v] = (n, _poly.p_one())
+    total = _poly.F_ZERO
+    for key, (d, part_field) in parts.items():
+        part = _reduced(_d_nf(fr, part_field, memo.setdefault(key, {})))
+        if _poly.p_is_zero(part[0]):
+            continue
+        if not _poly.p_is_const(d):
+            part = _poly.f_mul(part, (_poly.p_one(), d))
+        total = _add_over_lcm(total, part)
+    return total
+
+
+def _add_over_lcm(x, y):
+    """x + y for (num, den) pairs with canonical denominators, unreduced
+    over the lcm of those: only the denominators enter a gcd."""
+    (a, b), (c, d) = x, y
+    if b == d:
+        return _poly.p_add(a, c), b
+    g = _poly.p_one() if _poly.p_is_const(b) or _poly.p_is_const(d) else _poly.p_gcd(b, d)
+    if not _poly.p_is_const(g):
+        b, d = _poly.p_exact_div(b, g), _poly.p_exact_div(d, g)
+    return _poly.p_add(_poly.p_mul(a, d), _poly.p_mul(c, b)), _poly.p_mul(x[1], d)
 
 
 def _reduced(fr):

@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from liftgeo import _poly
 from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc, Normal,
-    ParseError, ProbeConfig, SingularPointError, SubstitutionError,
-    SymbolTable, ONE, ZERO,
+    ParseError, ProbeConfig, ResourceLimitError, SingularPointError, SubstitutionError,
+    SymbolTable, MAX_EXPANSION_TERMS, ONE, ZERO,
     derivation, differentiate, eprod, equivalent, esum, eval_numeric, is_identically_zero,
-    parse, simplify, substitute, to_string, _d_nf, _frac_of, _reduced,
+    parse, simplify, substitute, to_string, _d_nf, _frac_of, _power_term_bound, _reduced,
 )
 
 from conftest import full_symbols, ref
@@ -547,6 +547,41 @@ def test_derivation_along_a_field_is_the_sum_of_its_partials_property(raw, w1, w
     assert got == esum(eprod((w, differentiate(e, v))) for v, w in (("t", w1), ("theta", w2)))
 
 
+@pytest.mark.parametrize("e, w1, w2", [
+    ("-14*t*theta^2*c1^2*X'(t)*f(theta)^3*sin(theta)*(4*t + t*f(theta) + 1)",
+     "-9*t*theta*X(t)*cosh(t)^2/(5*t*theta*X(t) + t*c1^2*X(t)*cosh(t)^2"
+     " + t*X(t)*f(theta)*cosh(t)^2 + 8*t*X(t)*cosh(t)^2 + 2*t*X(t)*cosh(t)^2*sin(theta)"
+     " + t*cosh(t)^2 + theta*X(t))",
+     "(t^3*X(t)^3*f(theta) + cosh(t))/(8*theta*X(t)*(1 + X(t)^2*sin(theta)))"),
+    ("-6*(X(t) + f(theta)^2)*(X'(t) + t^2)/(t^2*X'(t))",
+     "-6*t*c1^2*X'(t)/(t*c1^2*X'(t) + c1^2 - 16*c1^2*X(t)^2 + c1^2*X(t)^2*X'(t)^3"
+     " + X(t)^2*X'(t)^2*cosh(t)^2)",
+     "u1"),
+    ("(t^3 - 1)*(theta^3 + f(theta)^2)*(t^2*(theta*X(t)^3 + 5*X'(t)^3 + f(theta) + cosh(t)^2) + 1)/t^2",
+     "5*t^2*theta^2*X(t)/((t^3 - 1)*(theta^3 + f(theta)^2)"
+     "*(t^2*(theta*X(t)^3 + 5*X'(t)^3 + f(theta) + cosh(t)^2) + 1))",
+     "(1/X(t)^2 + cosh(t) + sin(theta))*(theta^2 + theta - 4)/(2*theta)"),
+], ids=["atom-denominators", "quotient-rule", "shared-factor"])
+def test_derivation_along_a_quotient_field_stays_cheap(e, w1, w2, monkeypatch):
+    # components over denominators of up to twenty terms, the last sharing
+    # factors with the value: the derivative is split by the components'
+    # denominators, each part is reduced against its own, and the parts join
+    # over the lcm, so no gcd meets a numerator over a product or a square
+    # of those denominators (each such gcd ran past 3000 pseudo-remainders,
+    # for a minute or more)
+    e, w1, w2 = (parse(text, syms()) for text in (e, w1, w2))
+    want = esum(eprod((w, differentiate(e, v))) for v, w in (("t", w1), ("theta", w2)))
+    prem, remainders = _poly._prem, []
+
+    def counting(*args):
+        remainders.append(None)
+        assert len(remainders) <= 200, "gcd work past 200 pseudo-remainders"
+        return prem(*args)
+
+    monkeypatch.setattr(_poly, "_prem", counting)
+    assert derivation({"t": _frac_of(w1), "theta": _frac_of(w2)})(e) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_exprs(), min_size=1, max_size=4), st.sampled_from(["t", "theta"]), st.data())
 def test_one_derivation_serves_every_value_property(raws, v, data):
@@ -568,12 +603,17 @@ def _typed_pair(fr) -> list:
 def test_power_and_negation_of_a_value_are_its_reduced_pairs_property(raw_a, raw_b, c, n):
     # c*a/b: Fraction content, and a multi-term denominator whenever b is a
     # sum; the power or negation of a value equals f_make of the unreduced
-    # pair (f_pow reduces any pair), coefficient types included
+    # pair (f_pow reduces any pair), coefficient types included, unless the
+    # power may pass the expansion budget and is refused
     b = simplify(raw_b)
     assume(b != ZERO)
     x = eprod((c, raw_a, b ** -1))
     assert _typed_pair(_frac_of(-x)) == _typed_pair(_poly.f_make(_poly.p_neg(x.num), x.den))
     assume(n >= 0 or x != ZERO)
+    if abs(n) > 1 and max(_power_term_bound(p, abs(n)) for p in (x.num, x.den)) > MAX_EXPANSION_TERMS:
+        with pytest.raises(ResourceLimitError):
+            x ** n
+        return
     assert _typed_pair(_frac_of(x ** n)) == _typed_pair(_poly.f_pow((x.num, x.den), n))
 
 
