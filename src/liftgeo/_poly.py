@@ -508,18 +508,6 @@ def f_mul(a, b):
     return f_make(p_mul(n1, n2), p_mul(d1, d2))
 
 
-def f_pow(a, n: int):
-    num, den = a
-    if n == 0:
-        return p_one(), p_one()
-    if n < 0:
-        if p_is_zero(num):
-            raise ZeroDivisionError("division by an identically zero expression")
-        num, den = den, num
-        n = -n
-    return f_make(p_pow(num, n), p_pow(den, n))
-
-
 def f_pow_reduced(a, n: int):
     """The n-th power of a reduced pair a, with no gcd. Powers of coprime
     polynomials stay coprime (Gauss's lemma), and the power of an

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._poly import F_ONE
+from ._poly import p_one
 from .expr import Coord, Expr, ProbeConfig, ZERO, derivation, esum, simplify
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart, inverse
 
@@ -68,7 +68,7 @@ def christoffel(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Connection:
 def _partials(chart: Chart) -> list:
     """d/dx^l for each coordinate of chart, one derivation each, so the
     values of one assembly share each atom's derivative."""
-    return [derivation({x: F_ONE}) for x in chart.coords]
+    return [derivation({x: p_one()}) for x in chart.coords]
 
 
 def _christoffel(g: Metric, ginv: Metric) -> Connection:

@@ -466,10 +466,12 @@ def _known_derivative(key: _AtomKey) -> Expr:
 
 def _d_atom(key: _AtomKey, field: Mapping, memo: dict):
     """The derivative of the atom of key along field as a (num, den) pair,
-    or None when it is 0."""
+    or None when it is 0. A coordinate's derivative is its component over 1;
+    a function's may have a denominator, such as log's 1/arg."""
     atom = key.atom
     if isinstance(atom, Coord):
-        return field.get(atom.name)
+        c = field.get(atom.name)
+        return None if c is None else (c, _poly.p_one())
     if isinstance(atom, Const):
         return None
     inner = _reduced(_d_nf(_frac_of(atom.arg), field, memo))
@@ -510,17 +512,12 @@ def _d_poly(p: Poly, derivs: dict):
 def _d_nf(fr, field: Mapping, memo: dict):
     """The derivative of num/den along a vector field as an unreduced
     (num, den) pair: the quotient rule over the chain rule through each atom.
-    field maps a coordinate name to the (num, den) pair of its component; a
-    coordinate it does not name has component 0. So {v: F_ONE} is d/dv, and
-    {x^l: u^l} is u^l d_l, the complete lift of a base value in one pass.
-    memo keeps each atom's derivative along field, so one memo serves every
-    value derived along the same field. The finite-difference oracle
-    evaluates the pair as it is; _reduced reduces it.
-
-    A field with a component over a denominator other than 1 is split by
-    those denominators (_d_over_denominators)."""
-    if not all(_poly.p_is_const(d) for _, d in field.values()):
-        return _d_over_denominators(fr, field, memo)
+    field maps a coordinate name to the polynomial of its component; a
+    coordinate it does not name has component 0. So {v: p_one()} is d/dv,
+    and {x^l: u^l} is u^l d_l, the complete lift of a base value in one
+    pass. memo keeps each atom's derivative along field, so one memo serves
+    every value derived along the same field. The finite-difference oracle
+    evaluates the pair as it is; _reduced reduces it."""
     num, den = fr
     derivs = {}
     for key in _poly.p_atoms(num) | _poly.p_atoms(den):
@@ -541,40 +538,6 @@ def _d_nf(fr, field: Mapping, memo: dict):
     )
 
 
-def _d_over_denominators(fr, field: Mapping, memo: dict):
-    """The derivative along field as the sum over the distinct denominators
-    d of its components of 1/d times the derivative along the polynomial
-    field of their numerators. Each part is reduced and then divided by its
-    own d, so a gcd meets one component denominator at a time and a part
-    that shares a factor with d loses it there, before the parts join,
-    unreduced, over the lcm of what is left of the denominators. Each part's
-    atom memo is kept in memo under its d."""
-    parts: dict = {}
-    for v, (n, d) in field.items():
-        parts.setdefault(frozenset(d.items()), (d, {}))[1][v] = (n, _poly.p_one())
-    total = _poly.F_ZERO
-    for key, (d, part_field) in parts.items():
-        part = _reduced(_d_nf(fr, part_field, memo.setdefault(key, {})))
-        if _poly.p_is_zero(part[0]):
-            continue
-        if not _poly.p_is_const(d):
-            part = _poly.f_mul(part, (_poly.p_one(), d))
-        total = _add_over_lcm(total, part)
-    return total
-
-
-def _add_over_lcm(x, y):
-    """x + y for (num, den) pairs with canonical denominators, unreduced
-    over the lcm of those: only the denominators enter a gcd."""
-    (a, b), (c, d) = x, y
-    if b == d:
-        return _poly.p_add(a, c), b
-    g = _poly.p_one() if _poly.p_is_const(b) or _poly.p_is_const(d) else _poly.p_gcd(b, d)
-    if not _poly.p_is_const(g):
-        b, d = _poly.p_exact_div(b, g), _poly.p_exact_div(d, g)
-    return _poly.p_add(_poly.p_mul(a, d), _poly.p_mul(c, b)), _poly.p_mul(x[1], d)
-
-
 def _reduced(fr):
     """The canonical form of a _d_nf pair. A constant denominator is 1, over
     which scaling by 1 turns an integral Fraction coefficient into an int."""
@@ -587,7 +550,8 @@ def derivation(field: Mapping) -> Callable[[Expr], Normal]:
     quotient rule on the value's (num, den) pair and the chain rule through
     each polynomial atom (a coordinate, an abstract-function jet or a
     built-in function of its argument), reduced once. field maps a
-    coordinate name to the (num, den) pair of its component.
+    coordinate name to the polynomial of its component, such as p_one() for
+    a coordinate partial or an atom's p_atom for u^l d_l.
 
     One atom memo serves every value the function is given, so each atom is
     derived once per field; the memo lives as long as the function."""
@@ -602,7 +566,7 @@ def derivation(field: Mapping) -> Callable[[Expr], Normal]:
 def differentiate(e: Expr, v: Union[str, Coord]) -> Normal:
     """Partial derivative of e in v: derivation({v: 1})(e)."""
     name = v.name if isinstance(v, Coord) else v
-    return derivation({name: _poly.F_ONE})(e)
+    return derivation({name: _poly.p_one()})(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1008,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int_literal(value: str, offset: int) -> int:
+    """The int of a digit token; past the interpreter's int-to-string limit
+    (4300 digits by default) it is a ParseError at the token."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"integer of {len(value)} digits is too long to read", offset) from None
+
+
 class _Parser:
     """Recursive descent that folds as it reads: every sum, product, power
     and number is a Normal as soon as it is read, and a lone atom stays an
@@ -1140,14 +1113,14 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", offset)
             self.next()
-            return a ** (sign * int(value))
+            return a ** (sign * _int_literal(value, offset))
         return a
 
     def atom(self) -> Expr:
         kind, value, offset = self.peek()
         if kind == "int":
             self.next()
-            return _as_expr(int(value))
+            return _as_expr(_int_literal(value, offset))
         if kind == "op" and value == "(":
             self.next()
             e = self.expr()

@@ -69,9 +69,10 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
 
 
 def _fiber_field(tchart: Chart) -> dict:
-    """{x^l: u^l}, the field u^l d_l of the complete lift, as derivation reads it."""
+    """{x^l: u^l}, the field u^l d_l of the complete lift, as derivation reads
+    it: each component is the polynomial u^l, the p_atom of the coordinate."""
     m = tchart.base.dim
-    return {x: _frac_of(Coord(u)) for x, u in zip(tchart.coords[:m], tchart.coords[m:])}
+    return {x: _frac_of(Coord(u))[0] for x, u in zip(tchart.coords[:m], tchart.coords[m:])}
 
 
 def _base_block(conn: Connection, shift: int) -> dict:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import expr as ex
-from ._poly import F_ONE
+from ._poly import p_one
 from .expr import (
     Coord, Expr, FuncSymbol, ProbeConfig,
     _d_nf, simplify, substitute, to_string,
@@ -98,7 +98,7 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     pair, since it is only evaluated. Each value is laid out once, not per point.
     """
     concrete = concretize(e, cfg)
-    analytic = _d_nf(ex._frac_of(concrete), {v: F_ONE}, {})
+    analytic = _d_nf(ex._frac_of(concrete), {v: p_one()}, {})
     # a concrete value holds no FuncApp atom: its derivative adds no symbol but v
     symbols = {v: v, **ex._probe_symbols(concrete)}
     concrete, analytic = ex._plan(ex._frac_of(concrete)), ex._plan(analytic)

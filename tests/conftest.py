@@ -25,6 +25,21 @@ def ref(text: str):
     return parse(text, full_symbols())
 
 
+def f_pow(a, n: int):
+    """The n-th power of a (num, den) pair a, reduced by f_make whatever a
+    is: the reference that the gcd-free powers of the package are checked
+    against."""
+    num, den = a
+    if n == 0:
+        return _poly.p_one(), _poly.p_one()
+    if n < 0:
+        if _poly.p_is_zero(num):
+            raise ZeroDivisionError("division by an identically zero expression")
+        num, den = den, num
+        n = -n
+    return _poly.f_make(_poly.p_pow(num, n), _poly.p_pow(den, n))
+
+
 def count_poly_calls(monkeypatch) -> dict:
     """Calls of _poly.p_mul and _poly.f_make from now until
     monkeypatch.undo(), by name."""

@@ -446,11 +446,15 @@ def test_repeated_chart_coordinate_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "g 2 2 = ²", "g ² 2 = t", "g 2 2 = t^٣", "g 2 2 = t²", "g 2 2 = θ", "g 2 2 = １ + t",
+    "g 2 2 = t*" + "7" * 5000, "g 2 2 = t^" + "7" * 5000,
 ], ids=["superscript-value", "superscript-index", "arabic-indic-exponent",
-        "superscript-in-name", "greek-name", "full-width-digit"])
+        "superscript-in-name", "greek-name", "full-width-digit",
+        "literal-past-the-digit-limit", "exponent-past-the-digit-limit"])
 def test_non_ascii_digit_or_letter_is_usage_error(tmp_path, capsys, line):
     # numbers, names and indices are ASCII: a superscript, Arabic-Indic or
-    # full-width digit is neither read as its value nor kept in a name
+    # full-width digit is neither read as its value nor kept in a name; and
+    # an integer past the interpreter's int-to-string limit (4300 digits) is
+    # a parse error at its line, not a conversion error from the interpreter
     p = tmp_path / "unicode.metric"
     p.write_text(f"chart t r\ng 1 1 = 1\n{line}\n", encoding="utf-8")
     code, out, err = run(capsys, "christoffel", str(p))

@@ -1,9 +1,11 @@
-"""Every public name of the package has a reader.
+"""Every public name and every module-level function and class of the
+package has a reader.
 
-A name in a module's __all__ must be read somewhere other than its own
-definition and the package __init__: elsewhere in its module, in another
-package module, in bench/, or in README.md. A name that only the tests
-read is not part of the package's surface.
+A name in a module's __all__, and a function or class defined at the top
+level of a module, must be read somewhere other than its own definition and
+the package __init__: elsewhere in its module, in another package module, in
+bench/, or in README.md. A name that only the tests read is not part of the
+package; a test that needs it as a reference keeps its own copy.
 """
 
 import ast
@@ -44,7 +46,13 @@ def _reads(nodes) -> set:
     return found
 
 
-def _unread_public_names() -> list:
+def _definitions(tree: ast.Module) -> list:
+    return [stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _unread(names_of) -> list:
+    """module.name for each name of names_of(module tree) that no reader reads."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
                if p.stem != "__init__"}
     bench = set().union(*(_reads(ast.parse(p.read_text()).body)
@@ -53,7 +61,7 @@ def _unread_public_names() -> list:
     unread = []
     for module, tree in modules.items():
         others = set().union(*(_reads(t.body) for m, t in modules.items() if m != module))
-        for name in _public_names(tree):
+        for name in names_of(tree):
             own = _reads(stmt for stmt in tree.body
                          if not _defines(stmt, name) and not _defines(stmt, "__all__"))
             if name not in own | others | bench | readme:
@@ -62,4 +70,8 @@ def _unread_public_names() -> list:
 
 
 def test_every_public_name_has_a_reader():
-    assert _unread_public_names() == []
+    assert _unread(_public_names) == []
+
+
+def test_every_module_level_function_and_class_has_a_reader():
+    assert _unread(_definitions) == []
