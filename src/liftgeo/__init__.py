@@ -20,10 +20,30 @@ from .lifts import LiftKind, lift_metric, lift_connection  # noqa: F401
 from .harmonicity import (  # noqa: F401
     HarmonicityReport, harmonicity_residuals, lifted_harmonicity,
 )
-from .gks import (  # noqa: F401
-    GksSpec, abstract_spec, hatted_abstract_spec, build_gks, condition_18,
-    example_pair, theorem_equivalence_check, corpus_pairs, run_scenario,
-)
 from .oracle import (  # noqa: F401
     finite_difference_check, reconcile_with_paper,
 )
+
+# the paper-check scenarios of gks, in the order of run_scenario("all"); the
+# cli offers them without loading gks
+SCENARIO_NAMES = (
+    "gamma-matrices", "inverse", "traces", "example1", "curvature-table",
+    "sasaki", "horizontal", "complete", "complete-table", "theorem-equivalence",
+)
+
+# the names of gks, which only paper-check reads; they load on first use
+_GKS_NAMES = (
+    "GksSpec", "abstract_spec", "hatted_abstract_spec", "build_gks", "condition_18",
+    "example_pair", "theorem_equivalence_check", "corpus_pairs", "run_scenario",
+)
+
+
+def __getattr__(name):
+    if name in _GKS_NAMES:
+        from . import gks
+        return getattr(gks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_GKS_NAMES])

@@ -21,14 +21,13 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import SCENARIO_NAMES, __version__
 from . import expr as ex
 from .expr import ProbeConfig, to_string
 from .geometry import GeometryError, MetricFileError, load_metric_document, validate
 from .connection import christoffel, fiber_contract, metric_compatibility_residual, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import harmonicity_residuals, lifted_harmonicity
-from .gks import SCENARIO_NAMES, run_scenario
 from .oracle import InconclusiveError, concretize, finite_difference_check
 
 EXIT_OK = 0
@@ -272,6 +271,8 @@ def _cmd_harmonic(args, cfg) -> tuple:
 
 
 def _cmd_paper_check(args, cfg) -> tuple:
+    from .gks import run_scenario
+
     scenario_results = run_scenario(args.scenario, cfg)
     payload = []
     for res in scenario_results:

@@ -3,12 +3,11 @@ coordinates, plus the fiber contraction used on tangent bundles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from ._poly import p_one
-from .expr import Coord, Expr, ProbeConfig, ZERO, derivation, esum, simplify
+from .expr import Coord, Expr, ProbeConfig, ZERO, _Record, _set, derivation, esum, simplify
 from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart, inverse
 
 __all__ = [
@@ -17,8 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(_Record):
     """Coefficients Gamma^k_ij, nonzero entries only.
 
     Natural-coordinate connections store one entry per unordered lower pair
@@ -26,21 +24,22 @@ class Connection:
     mixed barred/unbarred slots of lifted metrics are not symmetric.
     """
 
-    chart: Chart
-    coefficients: Mapping
-    frame: Frame = Frame.NATURAL
-    # values derived from this connection, built once each by _derive
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("chart", "coefficients", "frame")
+    # _derived: values derived from this connection, built once each by _derive
+    __slots__ = _fields + ("_derived",)
 
-    def __post_init__(self):
+    def __init__(self, chart: Chart, coefficients: Mapping, frame: Frame = Frame.NATURAL):
         coeffs = {}
-        for (k, i, j), e in self.coefficients.items():
-            if self.frame is Frame.NATURAL and i > j:
+        for (k, i, j), e in coefficients.items():
+            if frame is Frame.NATURAL and i > j:
                 i, j = j, i
             e = simplify(e)
             if e != ZERO:
                 coeffs[(k, i, j)] = e
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "chart", chart)
+        _set(self, "coefficients", coeffs)
+        _set(self, "frame", frame)
+        _set(self, "_derived", {})
 
     def get(self, k: int, i: int, j: int) -> Expr:
         if self.frame is Frame.NATURAL and i > j:
@@ -112,16 +111,14 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
     return Connection(g.chart, coeffs, Frame.NATURAL)
 
 
-@dataclass(frozen=True)
-class Riemann:
+class Riemann(_Record):
     """Curvature components R^h_ijk, stored for i < j (antisymmetric pair)."""
 
-    chart: Chart
-    components: Mapping
+    __slots__ = _fields = ("chart", "components")
 
-    def __post_init__(self):
+    def __init__(self, chart: Chart, components: Mapping):
         comps = {}
-        for (h, i, j, k), e in self.components.items():
+        for (h, i, j, k), e in components.items():
             e = simplify(e)
             if e == ZERO:
                 continue
@@ -129,7 +126,8 @@ class Riemann:
                 comps[(h, i, j, k)] = e
             elif i > j:
                 comps[(h, j, i, k)] = simplify(-e)
-        object.__setattr__(self, "components", comps)
+        _set(self, "chart", chart)
+        _set(self, "components", comps)
 
     def get(self, h: int, i: int, j: int, k: int) -> Expr:
         if i == j:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -92,6 +91,46 @@ class SubstitutionError(ExprError):
 
 class ResourceLimitError(ExprError):
     """An operation would pass a size budget such as MAX_EXPANSION_TERMS."""
+
+
+# ---------------------------------------------------------------------------
+# records
+
+class _Record:
+    """Base of the package's immutable records. A subclass lists its fields
+    in _fields and in __slots__, and its __init__ checks them and stores
+    each with _set. Records are equal when they are of one class and their
+    fields are equal; the hash is that of the field tuple and the repr is
+    Name(field=value, ...), as for a frozen dataclass. Assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# stores a field of a record that is being built
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +212,29 @@ class Normal(Expr):
         return f"Normal({to_string(self)!r})"
 
 
-@dataclass(frozen=True)
-class Coord(Expr):
-    name: str
+class Coord(Expr, _Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    name: str
+class Const(Expr, _Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class FuncSymbol:
+class FuncSymbol(_Record):
     """A single-variable function symbol, abstract unless a body is given."""
 
-    name: str
-    var: str
-    body: Optional[Expr] = None
+    __slots__ = _fields = ("name", "var", "body")
+
+    def __init__(self, name: str, var: str, body: Optional[Expr] = None):
+        _set(self, "name", name)
+        _set(self, "var", var)
+        _set(self, "body", body)
 
     def app(self, order: int = 0) -> Expr:
         return simplify(FuncApp(self, order, Coord(self.var)))
@@ -199,25 +244,25 @@ class FuncSymbol:
         return self.body is None
 
 
-@dataclass(frozen=True)
-class FuncApp(Expr):
-    func: FuncSymbol
-    order: int
-    arg: Expr
+class FuncApp(Expr, _Record):
+    __slots__ = _fields = ("func", "order", "arg")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, func: FuncSymbol, order: int, arg: Expr):
+        if order < 0:
             raise ExprError("derivative order must be non-negative")
+        _set(self, "func", func)
+        _set(self, "order", order)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class KnownFunc(Expr):
-    kind: str
-    arg: Expr
+class KnownFunc(Expr, _Record):
+    __slots__ = _fields = ("kind", "arg")
 
-    def __post_init__(self):
-        if self.kind not in KNOWN_FUNCTIONS:
-            raise ExprError(f"unknown built-in function {self.kind!r}")
+    def __init__(self, kind: str, arg: Expr):
+        if kind not in KNOWN_FUNCTIONS:
+            raise ExprError(f"unknown built-in function {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "arg", arg)
 
 
 ZERO = Normal(_poly.F_ZERO)
@@ -828,11 +873,14 @@ def _probe_symbols(e: Expr) -> dict:
     return dict(_probe_symbol(a) for a in _atoms(e) if not isinstance(a, KnownFunc))
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
-    kind: str  # "zero" | "nonzero" | "unknown"
-    witness: Optional[dict] = None
-    value: Optional[float] = None
+class ZeroVerdict(_Record):
+    __slots__ = _fields = ("kind", "witness", "value")
+
+    def __init__(self, kind: str, witness: Optional[dict] = None,
+                 value: Optional[float] = None):
+        _set(self, "kind", kind)  # "zero" | "nonzero" | "unknown"
+        _set(self, "witness", witness)
+        _set(self, "value", value)
 
     @property
     def is_zero(self) -> bool:
@@ -847,21 +895,22 @@ class ZeroVerdict:
         return self.kind == "unknown"
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Record):
     """Settings of the probe-based zero test: seed, probe count and zero
     tolerance. The finite-difference check draws its points with the same
     seed and probe count."""
 
-    seed: int = 0
-    probes: int = DEFAULT_PROBE_COUNT
-    zero_tol: float = DEFAULT_ZERO_TOL
+    __slots__ = _fields = ("seed", "probes", "zero_tol")
 
-    def __post_init__(self):
-        if self.probes < 1:
+    def __init__(self, seed: int = 0, probes: int = DEFAULT_PROBE_COUNT,
+                 zero_tol: float = DEFAULT_ZERO_TOL):
+        if probes < 1:
             raise ValueError("probes must be >= 1")
-        if not 0 < self.zero_tol < math.inf:
+        if not 0 < zero_tol < math.inf:
             raise ValueError("zero_tol must be positive and finite")
+        _set(self, "seed", seed)
+        _set(self, "probes", probes)
+        _set(self, "zero_tol", zero_tol)
 
 
 _MAX_REDRAWS = 8

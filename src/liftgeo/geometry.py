@@ -4,12 +4,12 @@ metric definition file format."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Expr, FuncSymbol, ProbeConfig, SymbolTable, ZERO, esum, eprod, parse, simplify,
+    Expr, FuncSymbol, ProbeConfig, SymbolTable, ZERO, _Record, _set, esum, eprod, parse,
+    simplify,
 )
 
 __all__ = [
@@ -32,18 +32,18 @@ class Frame(enum.Enum):
     ADAPTED = "adapted"
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Record):
     """Ordered coordinate list; tangent charts remember their base."""
 
-    coords: tuple
-    base: Optional["Chart"] = None
+    __slots__ = _fields = ("coords", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        repeated = sorted({c for c in self.coords if self.coords.count(c) > 1})
+    def __init__(self, coords, base: Optional["Chart"] = None):
+        coords = tuple(coords)
+        repeated = sorted({c for c in coords if coords.count(c) > 1})
         if repeated:
             raise GeometryError(f"chart repeats coordinate name(s) {repeated}")
+        _set(self, "coords", coords)
+        _set(self, "base", base)
 
     @property
     def dim(self) -> int:
@@ -87,24 +87,24 @@ def _tangent_chart(chart: Chart, values) -> Chart:
     return tchart
 
 
-@dataclass(frozen=True)
-class Metric:
-    chart: Chart
-    components: tuple
-    frame: Frame = Frame.NATURAL
-    # values derived from this metric, built once each by _derive
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class Metric(_Record):
+    _fields = ("chart", "components", "frame")
+    # _derived: values derived from this metric, built once each by _derive
+    __slots__ = _fields + ("_derived",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.components)
-        object.__setattr__(self, "components", rows)
-        n = self.chart.dim
+    def __init__(self, chart: Chart, components, frame: Frame = Frame.NATURAL):
+        rows = tuple(tuple(row) for row in components)
+        n = chart.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GeometryError(
-                f"component matrix must be {n}x{n} for chart {self.chart.coords}"
+                f"component matrix must be {n}x{n} for chart {chart.coords}"
             )
-        if self.frame is Frame.ADAPTED and not self.chart.is_tangent:
+        if frame is Frame.ADAPTED and not chart.is_tangent:
             raise GeometryError("adapted frames only exist on tangent charts")
+        _set(self, "chart", chart)
+        _set(self, "components", rows)
+        _set(self, "frame", frame)
+        _set(self, "_derived", {})
 
     @classmethod
     def from_entries(cls, chart: Chart, entries: Mapping, frame: Frame = Frame.NATURAL) -> "Metric":
@@ -208,9 +208,13 @@ def inverse(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Metric:
     if verdict.is_zero:
         raise DegenerateMetricError("metric determinant is identically zero")
     if verdict.is_unknown:
+        try:
+            shown = ex.to_string(det)
+        except ValueError:  # a coefficient past the interpreter's int-to-text limit
+            shown = "a determinant with a coefficient too long to print"
         raise DegenerateMetricError(
             "cannot certify nondegeneracy: determinant zero-test is inconclusive "
-            f"for {det}"
+            f"for {shown}"
         )
     return _derive(g, "inverse", lambda: _inverse(g, det))
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
+from . import SCENARIO_NAMES
 from . import expr as ex
 from .expr import (
     Const, Coord, Expr, FuncSymbol, KnownFunc, ProbeConfig, SymbolTable, ZERO,
-    equivalent, esum, eprod, parse,
+    _Record, _set, equivalent, esum, eprod, parse,
 )
 from .expr import to_string  # noqa: F401  (bench/workloads.py digests through gks.to_string)
 from .geometry import Chart, Metric, inverse
@@ -49,19 +49,19 @@ __all__ = [
 BASE_CHART = Chart(("t", "r", "theta", "phi"))
 
 
-@dataclass(frozen=True)
-class GksSpec:
+class GksSpec(_Record):
     """The three defining functions; abstract or with concrete bodies."""
 
-    X: FuncSymbol
-    Y: FuncSymbol
-    f: FuncSymbol
+    __slots__ = _fields = ("X", "Y", "f")
 
-    def __post_init__(self):
-        if self.X.var != "t" or self.Y.var != "t":
+    def __init__(self, X: FuncSymbol, Y: FuncSymbol, f: FuncSymbol):
+        if X.var != "t" or Y.var != "t":
             raise ValueError("X and Y must be functions of t")
-        if self.f.var != "theta":
+        if f.var != "theta":
             raise ValueError("f must be a function of theta")
+        _set(self, "X", X)
+        _set(self, "Y", Y)
+        _set(self, "f", f)
 
 
 def abstract_spec() -> GksSpec:
@@ -131,15 +131,18 @@ def example_pair() -> tuple:
 # ---------------------------------------------------------------------------
 # theorem checks
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(_Record):
     """Evidence that the trace-condition theorem holds for one metric pair."""
 
-    pair: str
-    base_report: HarmonicityReport
-    condition: tuple  # the two obstruction expressions
-    condition_holds: Optional[bool]
-    results: Mapping  # name -> True/False/None (None = inconclusive)
+    __slots__ = _fields = ("pair", "base_report", "condition", "condition_holds", "results")
+
+    def __init__(self, pair: str, base_report: HarmonicityReport, condition: tuple,
+                 condition_holds: Optional[bool], results: Mapping):
+        _set(self, "pair", pair)
+        _set(self, "base_report", base_report)
+        _set(self, "condition", condition)  # the two obstruction expressions
+        _set(self, "condition_holds", condition_holds)
+        _set(self, "results", results)  # name -> True/False/None (None = inconclusive)
 
     @property
     def passed(self) -> bool:
@@ -361,11 +364,13 @@ COMPLETE_ANNOTATED_NOTE = (
 # ---------------------------------------------------------------------------
 # scenarios
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    scenario: str
-    entries: tuple  # of oracle.ReconEntry
-    notes: tuple = ()
+class ScenarioResult(_Record):
+    __slots__ = _fields = ("scenario", "entries", "notes")
+
+    def __init__(self, scenario: str, entries: tuple, notes: tuple = ()):
+        _set(self, "scenario", scenario)
+        _set(self, "entries", entries)  # of oracle.ReconEntry
+        _set(self, "notes", notes)
 
     @property
     def passed(self) -> bool:
@@ -493,7 +498,9 @@ def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
     printed = {key: conn.get(*key) for key in COMPLETE_CONNECTION_REF}
     annotated = conn.display_key(*COMPLETE_ANNOTATED_KEY)
     entries += [
-        replace(e, annotated=e.status == "mismatch", note=COMPLETE_ANNOTATED_NOTE)
+        ReconEntry(e.name, e.status, annotated=e.status == "mismatch",
+                   note=COMPLETE_ANNOTATED_NOTE, difference=e.difference,
+                   witness=e.witness, value=e.value)
         if e.name == annotated else e
         for e in _table(conn.display_key, printed, COMPLETE_CONNECTION_REF, cfg)
     ]
@@ -551,21 +558,21 @@ def scenario_theorem_equivalence(cfg: ProbeConfig, metric) -> ScenarioResult:
                           notes)
 
 
-# name -> scenario(cfg, metric), where metric(spec) builds a family member
-_SCENARIOS = {
-    "gamma-matrices": scenario_gamma_matrices,
-    "inverse": scenario_inverse,
-    "traces": scenario_traces,
-    "example1": scenario_example1,
-    "curvature-table": scenario_curvature_table,
-    "sasaki": functools.partial(_lift_trace_scenario, LiftKind.SASAKI),
-    "horizontal": functools.partial(_lift_trace_scenario, LiftKind.HORIZONTAL),
-    "complete": functools.partial(_lift_trace_scenario, LiftKind.COMPLETE),
-    "complete-table": scenario_complete_table,
-    "theorem-equivalence": scenario_theorem_equivalence,
-}
-
-SCENARIO_NAMES = tuple(_SCENARIOS)
+# name -> scenario(cfg, metric), where metric(spec) builds a family member;
+# the names are the package's SCENARIO_NAMES, which the cli reads without
+# loading this module
+_SCENARIOS = dict(zip(SCENARIO_NAMES, (
+    scenario_gamma_matrices,
+    scenario_inverse,
+    scenario_traces,
+    scenario_example1,
+    scenario_curvature_table,
+    functools.partial(_lift_trace_scenario, LiftKind.SASAKI),
+    functools.partial(_lift_trace_scenario, LiftKind.HORIZONTAL),
+    functools.partial(_lift_trace_scenario, LiftKind.COMPLETE),
+    scenario_complete_table,
+    scenario_theorem_equivalence,
+), strict=True))
 
 
 def run_scenario(name: str, cfg: ProbeConfig = ProbeConfig()) -> list:

@@ -14,11 +14,10 @@ is decided once, on the base traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import expr as ex
-from .expr import Expr, ProbeConfig, ZERO, esum
+from .expr import Expr, ProbeConfig, ZERO, _Record, _set, esum
 from .geometry import Frame, GeometryError, Metric, _tangent_chart, inverse
 from .connection import Connection, christoffel
 from .lifts import LiftKind
@@ -28,22 +27,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "harmonic" | "not_harmonic" | "undecided"
-    index: Optional[str] = None
-    witness: Optional[dict] = None
-    value: Optional[float] = None
-    undecided_indices: tuple = ()
+class Verdict(_Record):
+    __slots__ = _fields = ("kind", "index", "witness", "value", "undecided_indices")
+
+    def __init__(self, kind: str, index: Optional[str] = None, witness: Optional[dict] = None,
+                 value: Optional[float] = None, undecided_indices: tuple = ()):
+        _set(self, "kind", kind)  # "harmonic" | "not_harmonic" | "undecided"
+        _set(self, "index", index)
+        _set(self, "witness", witness)
+        _set(self, "value", value)
+        _set(self, "undecided_indices", undecided_indices)
 
 
-@dataclass(frozen=True)
-class HarmonicityReport:
+class HarmonicityReport(_Record):
     """Per-upper-index trace residuals with a sound three-way verdict."""
 
-    residuals: Mapping  # display index label -> Expr
-    verdict: Verdict
-    notes: tuple = ()
+    __slots__ = _fields = ("residuals", "verdict", "notes")
+
+    def __init__(self, residuals: Mapping, verdict: Verdict, notes: tuple = ()):
+        _set(self, "residuals", residuals)  # display index label -> Expr
+        _set(self, "verdict", verdict)
+        _set(self, "notes", notes)
 
     def residual(self, label: str) -> Expr:
         return self.residuals.get(label, ZERO)

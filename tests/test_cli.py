@@ -522,6 +522,40 @@ def test_readme_lists_every_scenario():
     assert usage.replace("\n", " ").replace(" ", "").split("|") == [*SCENARIO_NAMES, "all"]
 
 
+SCENARIO_CHOICES = ("{gamma-matrices,inverse,traces,example1,curvature-table,sasaki,"
+                    "horizontal,complete,complete-table,theorem-equivalence,all}")
+PAPER_CHECK_USAGE = f"""\
+usage: liftgeo paper-check [-h] [--format {{text,json}}] [--seed SEED]
+                           [--probes PROBES] [--tol TOL]
+                           [--scenario {SCENARIO_CHOICES}]
+"""
+
+
+def test_scenario_choices_read_as_the_scenario_names(capsys, monkeypatch):
+    # the cli offers the names without loading gks; usage, error and help
+    # text are what argparse printed when it read them from gks
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "paper-check", "--scenario", "nope")
+    assert (code, out) == (2, "")
+    assert err == PAPER_CHECK_USAGE + (
+        "liftgeo paper-check: error: argument --scenario: invalid choice: 'nope' "
+        "(choose from 'gamma-matrices', 'inverse', 'traces', 'example1', "
+        "'curvature-table', 'sasaki', 'horizontal', 'complete', 'complete-table', "
+        "'theorem-equivalence', 'all')\n"
+    )
+    code, out, err = run(capsys, "paper-check", "--help")
+    assert (code, err) == (0, "")
+    assert out == PAPER_CHECK_USAGE + f"""
+options:
+  -h, --help            show this help message and exit
+  --format {{text,json}}  report format (env LIFTGEO_FORMAT)
+  --seed SEED           probe RNG seed (env LIFTGEO_SEED)
+  --probes PROBES       probe count per zero test
+  --tol TOL             numeric zero tolerance
+  --scenario {SCENARIO_CHOICES}
+"""
+
+
 def test_verify_substitutes_stand_ins_once_per_target(tmp_path, capsys, monkeypatch):
     from liftgeo import oracle
     from liftgeo.connection import christoffel, riemann
@@ -589,6 +623,17 @@ def test_overflow_at_a_probe_point_is_a_singular_point(tmp_path, capsys, text, c
     assert "Traceback" not in err
     if code:
         assert out == "" and "cannot certify nondegeneracy" in err
+
+
+def test_uncertified_determinant_past_the_digit_limit_is_named_not_printed(tmp_path, capsys):
+    # 10^5000 has more digits than the interpreter turns into text
+    p = tmp_path / "huge.metric"
+    p.write_text("chart t x\ng 1 1 = t*10^5000\ng 2 2 = 1\n")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: cannot certify nondegeneracy: determinant zero-test is "
+                   "inconclusive for a determinant with a coefficient too long to print\n")
 
 
 def test_verify_names_each_failing_bianchi_triple_once(files, capsys, monkeypatch):

@@ -173,6 +173,15 @@ def test_trace_condition_is_an_exact_identity_on_the_abstract_pair():
     ]
 
 
+def test_scenario_names_are_the_packages_in_the_order_of_the_scenarios():
+    import liftgeo
+    from liftgeo import gks
+
+    assert SCENARIO_NAMES is liftgeo.SCENARIO_NAMES
+    assert tuple(gks._SCENARIOS) == SCENARIO_NAMES
+    assert [r.scenario for r in run_scenario("all")] == list(SCENARIO_NAMES)
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenarios_pass(name):
     (result,) = run_scenario(name)

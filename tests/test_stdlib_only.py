@@ -26,3 +26,17 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"liftgeo"}
     ]
     assert foreign == []
+
+
+def test_only_oracle_and_cli_import_dataclasses():
+    # every other record is a plain class with __slots__, so a CLI request
+    # builds no dataclass; oracle's ReconEntry stays one for the
+    # dataclasses.asdict of cli's paper-check report and of the benchmark's
+    # digests, and FdResult beside it
+    importers = sorted(
+        path.stem
+        for path in SRC.glob("*.py")
+        for _, name in _absolute_imports(ast.parse(path.read_text(), str(path)))
+        if name.split(".")[0] == "dataclasses"
+    )
+    assert importers == ["cli", "oracle"]
