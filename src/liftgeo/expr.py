@@ -30,6 +30,7 @@ The concrete surface syntax (also produced by :func:`to_string`):
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -239,10 +240,6 @@ class FuncSymbol(_Record):
     def app(self, order: int = 0) -> Expr:
         return simplify(FuncApp(self, order, Coord(self.var)))
 
-    @property
-    def is_abstract(self) -> bool:
-        return self.body is None
-
 
 class FuncApp(Expr, _Record):
     __slots__ = _fields = ("func", "order", "arg")
@@ -303,6 +300,12 @@ class _AtomKey(tuple):
         self = super().__new__(cls, key)
         self.atom = atom
         return self
+
+    @functools.cached_property
+    def arg_plan(self) -> tuple:
+        """The _plan of the argument of a function application, laid out
+        once per key, since many values share their atoms' keys."""
+        return _plan(_frac_of(self.atom.arg))
 
 
 def _frac_of(e: Expr):
@@ -728,8 +731,9 @@ def _float(c) -> float:
 def _plan(fr) -> tuple:
     """The (num, den) pair fr laid out for _value_at, once per value: the
     (terms, rest) of _layout with each coefficient as a float and each
-    factor as (env key, exponent, None), or (kind, exponent, plan of the
-    argument) for a built-in function."""
+    factor as (env key, exponent, None) for a coordinate or a constant, or
+    (kind, exponent, plan of the argument) for a built-in function, or
+    ((name, order), exponent, plan of the argument) for an abstract jet."""
     terms, rest = _layout(fr)
     return _plan_terms(terms), None if rest is None else _plan_terms(rest)
 
@@ -737,8 +741,8 @@ def _plan(fr) -> tuple:
 def _plan_terms(terms) -> tuple:
     return tuple(
         (_float(coef), tuple(
-            (k.atom.kind, e, _plan(_frac_of(k.atom.arg))) if isinstance(k.atom, KnownFunc)
-            else (_probe_symbol(k.atom)[0], e, None)
+            (k.atom.kind if isinstance(k.atom, KnownFunc) else _probe_symbol(k.atom)[0],
+             e, None if isinstance(k.atom, (Coord, Const)) else k.arg_plan)
             for k, e in mono
         ))
         for coef, mono in terms
@@ -769,13 +773,15 @@ def _builtin(kind: str, a: float) -> float:
         raise SingularPointError(_OVERFLOW) from None
 
 
-def _sum(terms: tuple, env: Mapping) -> float:
+def _sum(terms: tuple, env: Mapping, jet) -> float:
     values = []
     for coef, factors in terms:
         r = _finite(coef)
         for key, e, arg in factors:
-            if arg is not None:
-                x = _builtin(key, _value_at(arg, env))
+            if arg is not None and isinstance(key, str):
+                x = _builtin(key, _value_at(arg, env, jet))
+            elif arg is not None and jet is not None:
+                x = jet(key, _value_at(arg, env, jet))
             else:
                 try:
                     x = env[key]
@@ -787,16 +793,17 @@ def _sum(terms: tuple, env: Mapping) -> float:
     return values[0] if len(values) == 1 else _finite(sum(values, 0.0))
 
 
-def _value_at(plan: tuple, env: Mapping) -> float:
+def _value_at(plan: tuple, env: Mapping, jet=None) -> float:
     """The value of a _plan at env: the terms multiplied out in order, the
-    coefficient first, summed, and then times rest ** -1. A denominator
-    within DEFAULT_EPSILON of 0, or a value past a double, is a
-    SingularPointError."""
+    coefficient first, summed, and then times rest ** -1. An abstract jet
+    reads env at its (name, order) key, or, given jet, is jet((name, order),
+    the value of its argument). A denominator within DEFAULT_EPSILON of 0,
+    or a value past a double, is a SingularPointError."""
     terms, rest = plan
-    value = _sum(terms, env)
+    value = _sum(terms, env, jet)
     if rest is None:
         return value
-    return _finite(value * _power(_sum(rest, env), -1))
+    return _finite(value * _power(_sum(rest, env, jet), -1))
 
 
 def eval_numeric(e: Expr, point: Mapping) -> float:
@@ -1224,7 +1231,10 @@ def parse(text: str, symbols: SymbolTable) -> Normal:
 # printing
 
 def _fmt_rat(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    try:
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    except ValueError:  # an integer past the interpreter's int-to-text limit
+        raise ExprError("a coefficient is too long to print") from None
 
 
 def _atom_str(key: _AtomKey) -> str:

@@ -210,7 +210,7 @@ def inverse(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Metric:
     if verdict.is_unknown:
         try:
             shown = ex.to_string(det)
-        except ValueError:  # a coefficient past the interpreter's int-to-text limit
+        except ex.ExprError:  # a coefficient too long to print
             shown = "a determinant with a coefficient too long to print"
         raise DegenerateMetricError(
             "cannot certify nondegeneracy: determinant zero-test is inconclusive "

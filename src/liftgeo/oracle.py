@@ -5,25 +5,23 @@ A derivative is checked by a Richardson step over central differences of
 step FD_STEP and passes within the relative error FD_REL_TOL. Reconciliation
 returns one ReconEntry per table entry. Random-point identity probing, which
 it uses for entries that do not cancel exactly, lives in
-:func:`liftgeo.expr.is_identically_zero`."""
+:func:`liftgeo.expr.is_identically_zero`. An abstract function is evaluated
+through jets of a polynomial stand-in drawn from the seed."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import expr as ex
 from ._poly import p_one
-from .expr import (
-    Coord, Expr, FuncSymbol, ProbeConfig,
-    _d_nf, simplify, substitute, to_string,
-)
+from .expr import Expr, ProbeConfig, _d_nf, simplify, to_string
 
 __all__ = [
     "ProbeConfig", "OracleError", "InconclusiveError", "FdResult",
-    "concretize", "finite_difference_check", "ReconEntry", "reconcile_with_paper",
+    "finite_difference_check", "ReconEntry", "reconcile_with_paper",
     "FD_STEP", "FD_REL_TOL",
 ]
 
@@ -39,18 +37,6 @@ class InconclusiveError(OracleError):
     """Every probe hit a singular denominator; no verdict is possible."""
 
 
-def _polynomial_standin(func: FuncSymbol, rng: random.Random) -> Expr:
-    """Degree-4 stand-in with positive rational coefficients.
-
-    Positivity keeps the stand-in (and hence every denominator built from
-    it) bounded away from zero on the positive probe domain, while giving
-    genuine functional dependence for finite differencing.
-    """
-    x = Coord(func.var)
-    # each coefficient in [1/2, 2]
-    return ex.esum((Fraction(rng.randint(4, 16), 8), x ** degree) for degree in range(5))
-
-
 @dataclass(frozen=True)
 class FdResult:
     passed: bool
@@ -58,30 +44,34 @@ class FdResult:
     probes_used: int
 
 
-def concretize(e: Expr, cfg: ProbeConfig = ProbeConfig()) -> Expr:
-    """e with each abstract function replaced by its polynomial stand-in.
+def _standin_jet(cfg: ProbeConfig):
+    """jet((name, order), x): the order-th derivative at x, by Horner, of
+    name's stand-in, a degree-4 polynomial with coefficients in [1/2, 2]
+    drawn from cfg.seed and the name, lowest degree first. Positive
+    coefficients keep it, and every denominator built from it, away from 0
+    on the positive probe domain."""
+    derived: dict = {}
 
-    A stand-in depends only on cfg.seed and the function's name, so one
-    concrete expression serves the checks of every coordinate; an expression
-    without abstract functions is returned in its normal form.
-    """
-    abstract = {
-        (a.func.name, a.func.var): a.func for a in ex._atoms(simplify(e))
-        if isinstance(a, ex.FuncApp) and a.func.is_abstract
-    }
-    bindings = {}
-    for (name, _var), func in sorted(abstract.items()):
-        rng = random.Random((cfg.seed & 0xFFFFFFFF) * 1000003 + sum(map(ord, name)))
-        bindings[func] = _polynomial_standin(func, rng)
-    return substitute(e, bindings) if bindings else simplify(e)
+    def jet(key: tuple, x: float) -> float:
+        if key not in derived:
+            name, order = key
+            rng = random.Random((cfg.seed & 0xFFFFFFFF) * 1000003 + sum(map(ord, name)))
+            drawn = [rng.randint(4, 16) / 8 for _ in range(5)]
+            derived[key] = [drawn[d] * math.perm(d, order) for d in range(4, order - 1, -1)]
+        r = 0.0
+        for c in derived[key]:
+            r = r * x + c
+        return ex._finite(r)
+
+    return jet
 
 
-def _central_difference(plan, env: dict, v: str, h: float) -> float:
+def _central_difference(plan, env: dict, v: str, h: float, jet) -> float:
     env_p = dict(env)
     env_p[v] = env[v] + h
-    hi_val = ex._value_at(plan, env_p)
+    hi_val = ex._value_at(plan, env_p, jet)
     env_p[v] = env[v] - h
-    lo_val = ex._value_at(plan, env_p)
+    lo_val = ex._value_at(plan, env_p, jet)
     return (hi_val - lo_val) / (2 * h)
 
 
@@ -91,29 +81,34 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
     The numeric derivative is the Richardson step (4 D(h/2) - D(h)) / 3 over
     central differences D with h = FD_STEP: it cancels the h^2 term of the
     truncation error, which on a steep function such as exp(801*t) would
-    otherwise pass FD_REL_TOL. Abstract functions are replaced by
-    concrete polynomial stand-ins drawn deterministically from the seed (see
-    concretize), so evaluation and differentiation see the same functional
-    dependence. The derivative is the unreduced chain-rule and quotient-rule
-    pair, since it is only evaluated. Each value is laid out once, not per point.
+    otherwise pass FD_REL_TOL. Only coordinates and constants are drawn; at
+    each point evaluated, an abstract jet is the derivative of its stand-in
+    at the value of its argument (see _standin_jet), so e and its derivative
+    see the same function. The derivative is the unreduced chain-rule and
+    quotient-rule pair, since it is only evaluated. Each value is laid out
+    once, not per point.
     """
-    concrete = concretize(e, cfg)
-    analytic = _d_nf(ex._frac_of(concrete), {v: p_one()}, {})
-    # a concrete value holds no FuncApp atom: its derivative adds no symbol but v
-    symbols = {v: v, **ex._probe_symbols(concrete)}
-    concrete, analytic = ex._plan(ex._frac_of(concrete)), ex._plan(analytic)
+    fr = ex._frac_of(e)
+    analytic = _d_nf(fr, {v: p_one()}, {})
+    # the derivative adds no coordinate or constant but v
+    symbols = {v: v, **{key: label for key, label in ex._probe_symbols(e).items()
+                        if isinstance(key, str)}}
+    plan, analytic = ex._plan(fr), ex._plan(analytic)
+    jet = _standin_jet(cfg)
 
     def rel_error(env: dict) -> float:
-        exact = ex._value_at(analytic, env)
-        coarse = _central_difference(concrete, env, v, FD_STEP)
-        fine = _central_difference(concrete, env, v, FD_STEP / 2)
+        exact = ex._value_at(analytic, env, jet)
+        coarse = _central_difference(plan, env, v, FD_STEP, jet)
+        fine = _central_difference(plan, env, v, FD_STEP / 2, jet)
         return abs((4 * fine - coarse) / 3 - exact) / max(1.0, abs(exact))
 
     rels = [rel for _, rel in ex._probe_values(symbols, cfg, rel_error)]
     if not rels:
-        raise InconclusiveError(
-            f"all probes hit singular denominators for d/d{v} of {to_string(e)}"
-        )
+        try:
+            shown = to_string(e)
+        except ex.ExprError:  # a coefficient too long to print
+            shown = "a value with a coefficient too long to print"
+        raise InconclusiveError(f"all probes hit singular denominators for d/d{v} of {shown}")
     worst = max([0.0, *rels])
     return FdResult(passed=worst <= FD_REL_TOL, worst_rel_error=worst, probes_used=len(rels))
 

@@ -338,17 +338,17 @@ def test_high_power_of_a_univariate_polynomial_is_within_the_budget(tmp_path, ca
 
 
 def test_verify_expands_a_high_power_of_an_abstract_function(tmp_path, capsys):
-    # the oracle's stand-in for X(t) is a univariate polynomial; its 13th
-    # power stays far inside the budget however many terms the stand-in has
+    # the oracle binds the jets of X(t) to its stand-in's value at each
+    # point, so a 13th power of X(t) is one power of a double
     p = tmp_path / "power.metric"
     p.write_text("chart t x\nfunc X(t) abstract\ng 1 1 = 1 + X(t)^13\ng 2 2 = 1\n")
     code, _, err = run(capsys, "verify", str(p))
     assert code == 0, err
 
 
-def test_verify_names_a_component_past_the_stand_in_budget(tmp_path, capsys):
-    # the file's power 600 is kept as an atom; the oracle's 5-term stand-in
-    # for X(t) to the 599th (in the derivative) would pass the term budget
+def test_verify_reports_an_overflowing_power_of_a_stand_in_as_inconclusive(tmp_path, capsys):
+    # the derivative of Gamma^1_1,1 = 300*X^599*X'/(1 + X^600) holds X^1198,
+    # which overflows a double at every probe of the stand-in for X(t)
     p = tmp_path / "power.metric"
     p.write_text("chart t x\nfunc X(t) abstract\ng 1 1 = 1 + X(t)^600\ng 2 2 = 1\n")
     code, out, err = run(capsys, "verify", str(p), "--seed", "5", "--format", "json")
@@ -357,7 +357,16 @@ def test_verify_names_a_component_past_the_stand_in_budget(tmp_path, capsys):
     (fd,) = [c for c in json.loads(out)["results"]["checks"]
              if c["name"] == "finite-difference derivative checks"]
     assert not fd["passed"]
-    assert "Gamma^1_1,1 (stand-in past the term budget)" in fd["detail"]
+    assert fd["detail"].endswith("; inconclusive: ['Gamma^1_1,1 d/dt']")
+
+
+def test_verify_binds_jets_at_the_value_of_their_argument(tmp_path, capsys):
+    p = tmp_path / "args.metric"
+    p.write_text("chart t x\nfunc X(t) abstract\n"
+                 "g 1 1 = 1 + X(t^2)^2\ng 2 2 = x^2*X(2*t)\n")
+    code, out, err = run(capsys, "verify", str(p))
+    assert code == 0, out + err
+    assert out.count("[PASS]") == 4
 
 
 class _ClosedPipe:
@@ -556,25 +565,43 @@ options:
 """
 
 
-def test_verify_substitutes_stand_ins_once_per_target(tmp_path, capsys, monkeypatch):
-    from liftgeo import oracle
-    from liftgeo.connection import christoffel, riemann
-    from liftgeo.expr import FuncApp, _atoms
-    from liftgeo.geometry import load_metric_document
+def test_verify_plans_each_value_without_expanding_stand_ins(capsys, monkeypatch):
+    # a count, not a wall time: the finite-difference stage lays out each
+    # value and its derivative in their own atoms; with each abstract
+    # function expanded into its polynomial stand-in they held 2788 terms
+    from liftgeo import cli, expr, oracle
 
-    p = tmp_path / "m.metric"
-    p.write_text(GKS_FILE.replace("func Y(t) abstract", "func Y(t) = t"))
-    conn = christoffel(load_metric_document(str(p)))
-    targets = list(conn.coefficients.values()) + list(riemann(conn).components.values())
-    abstract = [v for v in targets
-                if any(isinstance(a, FuncApp) and a.func.is_abstract for a in _atoms(v))]
-    assert 0 < len(abstract) < len(targets)
-    calls = []
-    substitute = oracle.substitute
-    monkeypatch.setattr(oracle, "substitute", lambda *a: calls.append(a) or substitute(*a))
-    code, out, _ = run(capsys, "verify", str(p))
+    def size(laid_out):
+        # the terms of a plan and of the plans of its factors' arguments
+        terms, rest = laid_out
+        return sum(1 + sum(size(arg) for _, _, arg in factors if arg is not None)
+                   for _, factors in terms + (rest or ()))
+
+    sizes, nested = [], []
+    plan, check = expr._plan, oracle.finite_difference_check
+
+    def counting(fr):
+        nested.append(None)
+        try:
+            laid_out = plan(fr)
+        finally:
+            nested.pop()
+        if not nested:
+            sizes.append(size(laid_out))
+        return laid_out
+
+    def counted(*args):
+        monkeypatch.setattr(expr, "_plan", counting)
+        try:
+            return check(*args)
+        finally:
+            monkeypatch.setattr(expr, "_plan", plan)
+
+    monkeypatch.setattr(cli, "finite_difference_check", counted)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    code, out, _ = run(capsys, "verify", "metrics/gks.metric", "--seed", "5")
     assert code == 0 and out.count("[PASS]") == 4
-    assert len(calls) == len(abstract)
+    assert sum(sizes) == 512
 
 
 def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
@@ -634,6 +661,26 @@ def test_uncertified_determinant_past_the_digit_limit_is_named_not_printed(tmp_p
     assert out == ""
     assert err == ("error: cannot certify nondegeneracy: determinant zero-test is "
                    "inconclusive for a determinant with a coefficient too long to print\n")
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("g 1 1 = t*10^5000", ["lift", "--kind", "sasaki"]),
+    ("g 1 1 = 1 + t/10^5000", ["christoffel"]),
+    ("g 1 1 = 1 + t/10^5000", ["lift", "--kind", "complete", "--connection"]),
+    ("g 1 1 = 1 + t/10^5000", ["verify"]),
+])
+def test_a_coefficient_past_the_digit_limit_is_never_printed(tmp_path, capsys, text, argv):
+    p = tmp_path / "huge.metric"
+    p.write_text(f"chart t x\n{text}\ng 2 2 = 1\n")
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 1
+    assert "Exceeds the limit" not in out + err and "Traceback" not in err
+    if argv[0] == "verify":
+        # the coefficient 10^5000 overflows a double at every probe
+        assert err == ""
+        assert "inconclusive: ['Gamma^1_1,1 d/dt', 'Gamma^1_1,1 d/dx']" in out
+    else:
+        assert out == "" and err == "error: a coefficient is too long to print\n"
 
 
 def test_verify_names_each_failing_bianchi_triple_once(files, capsys, monkeypatch):

@@ -2,12 +2,13 @@
 
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from liftgeo import _poly, cli, oracle
-from liftgeo.expr import ZERO, to_string
+from liftgeo.expr import ZERO, Coord, differentiate, esum, eval_numeric, to_string
 from liftgeo.connection import christoffel, riemann
 from liftgeo.geometry import load_metric_document
 from liftgeo.oracle import (
@@ -63,6 +64,33 @@ def test_fd_check_with_abstract_standins():
     # stand-ins give X' genuine functional meaning, so quotients work too
     res = finite_difference_check(ref("X'(t)/X(t)"), "t")
     assert res.passed
+
+
+def test_fd_check_takes_a_jet_at_the_value_of_its_argument():
+    # X(t^2) has derivative 2*t*X'(t^2): a jet bound at t instead of t^2
+    # gives the difference quotient and the derivative different functions
+    for text in ("X(t^2)", "X(2*t)", "X'(t^2)*X(t)"):
+        assert finite_difference_check(ref(text), "t").passed, text
+
+
+def _standin(name: str, seed: int):
+    """The stand-in of the abstract function name as a value in t: the
+    degree-4 polynomial whose coefficients, lowest degree first, are drawn
+    from the seed and the name."""
+    rng = random.Random((seed & 0xFFFFFFFF) * 1000003 + sum(map(ord, name)))
+    return esum((Fraction(rng.randint(4, 16), 8), Coord("t") ** d) for d in range(5))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_standin_jets_are_the_derivatives_of_the_standin(seed):
+    jet = oracle._standin_jet(ProbeConfig(seed=seed))
+    for name in ("X", "Y", "f"):
+        value = _standin(name, seed)
+        for order in range(6):
+            for x in (0.5, 1.3, 2.0, -0.7):
+                expected = eval_numeric(value, {"t": x})
+                assert jet((name, order), x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+            value = differentiate(value, "t")
 
 
 def test_fd_check_respects_safe_domain():
