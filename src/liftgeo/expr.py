@@ -62,8 +62,9 @@ MAX_NESTING = 100
 # a power, and the numerators or the denominators of a product the parser
 # reads, may expand to at most this many terms (as _power_term_bound and
 # _product_term_bound count them): the largest power count in the tests,
-# bundled metrics and benchmark inputs is 201, for (1+t+t^2)^100, and 20000
-# draws of the quotient-rule property's denominators squared reach at most 820
+# bundled metrics and benchmark inputs is 201, for (1+t+t^2)^100; the
+# quotient-rule property squares drawn denominators, which may pass it (a
+# 66-term one reaches 2205), and expects the error there
 MAX_EXPANSION_TERMS = 2000
 
 
@@ -983,6 +984,10 @@ class SymbolTable:
         self.coords: list = []
         self.funcs: dict = {}
         self.consts: set = set()
+        # (name, primes, argument name or None) -> the value of a bare name or
+        # of an application to a bare coordinate or constant, resolved once;
+        # every declaration clears it, since it may change what a name means
+        self._atom_memo: dict = {}
         for c in coords:
             self.declare_coord(c)
         for f in funcs:
@@ -990,6 +995,7 @@ class SymbolTable:
 
     def declare_coord(self, name: str):
         self._check_name(name)
+        self._atom_memo.clear()
         if name in self.consts:
             raise ExprError(f"coordinate {name} is already a constant")
         if name not in self.coords:
@@ -997,6 +1003,7 @@ class SymbolTable:
 
     def declare_const(self, name: str):
         self._check_name(name)
+        self._atom_memo.clear()
         if name in self.coords:
             raise ExprError(f"constant {name} is named like a chart coordinate")
         if name in self.funcs:
@@ -1007,6 +1014,7 @@ class SymbolTable:
         # a name is read one way: not as a coordinate, a constant and a
         # function at once, nor as two different functions
         self._check_name(func.name)
+        self._atom_memo.clear()
         if func.name in self.coords:
             raise ExprError(f"function {func.name} is named like a chart coordinate")
         if func.name in self.consts:
@@ -1028,38 +1036,34 @@ class SymbolTable:
             raise ExprError(f"{name!r} is a reserved function name")
 
 
+# the ASCII characters of the identifier rule of _check_name
+_DIGITS = "0123456789"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_WORD = _LETTERS + _DIGITS + "_"
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isascii() and c.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isascii() and c.isalpha():
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if c == "'":
-            tokens.append(("prime", c, i))
-            i += 1
-            continue
+        j = i + 1
         if c in "+-*/^()":
             tokens.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        elif c in _DIGITS:
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", text[i:j], i))
+        elif c in _LETTERS:
+            while j < n and text[j] in _WORD:
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+        elif c == "'":
+            tokens.append(("prime", c, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
     tokens.append(("end", "", n))
     return tokens
 
@@ -1073,11 +1077,31 @@ def _int_literal(value: str, offset: int) -> int:
         raise ParseError(f"integer of {len(value)} digits is too long to read", offset) from None
 
 
+def _monomial(items) -> Normal:
+    """The product of fr ** n over the (fr, n) items, where each pair fr is
+    a one-term num over a one-term den, in one pass: the coefficients
+    multiply and the exponents add. A canonical one-term den has the
+    coefficient 1, so the product is reduced as it is built."""
+    c, exps = 1, {}
+    for (num, den), n in items:
+        ((mono, k),) = num.items()
+        c *= k ** n if n > 0 else Fraction(1, k) ** -n
+        for atom, e in mono:
+            exps[atom] = exps.get(atom, 0) + e * n
+        for atom, e in next(iter(den)):
+            exps[atom] = exps.get(atom, 0) - e * n
+    if type(c) is not int and c.denominator == 1:
+        c = c.numerator
+    return Normal(({tuple(sorted((a, e) for a, e in exps.items() if e > 0)): c},
+                   {tuple(sorted((a, -e) for a, e in exps.items() if e < 0)): 1}))
+
+
 class _Parser:
     """Recursive descent that folds as it reads: every sum, product, power
-    and number is a Normal as soon as it is read, and a lone atom stays an
-    atom. An error in the value, such as a division by 0, is raised where it
-    is read, so the first error from left to right wins."""
+    and number is a Normal as soon as it is read, and so is an atom whose
+    value the symbol table keeps; any other lone atom stays an atom. An
+    error in the value, such as a division by 0, is raised where it is
+    read, so the first error from left to right wins."""
 
     def __init__(self, text: str, symbols: SymbolTable):
         self.tokens = _tokenize(text)
@@ -1132,6 +1156,8 @@ class _Parser:
         if len(factors) == 1:
             return factors[0]
         pairs = [_frac_of(f) for f in factors]
+        if all(len(num) == 1 == len(den) for num, den in pairs):
+            return _monomial((fr, 1) for fr in pairs)
         for polys in zip(*pairs):  # the numerators, then the denominators
             if _product_term_bound(polys) > MAX_EXPANSION_TERMS:
                 raise ResourceLimitError(
@@ -1169,7 +1195,9 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", offset)
             self.next()
-            return a ** (sign * _int_literal(value, offset))
+            n = sign * _int_literal(value, offset)
+            fr = _frac_of(a)
+            return _monomial(((fr, n),)) if len(fr[0]) == 1 == len(fr[1]) else a ** n
         return a
 
     def atom(self) -> Expr:
@@ -1192,34 +1220,55 @@ class _Parser:
         while self.peek()[0] == "prime":
             self.next()
             primes += 1
-        has_parens = self.peek()[0] == "op" and self.peek()[1] == "("
-        arg = None
-        if has_parens:
+        table, tokens, pos = self.symbols, self.tokens, self.pos
+        # a bare name, or an application to a bare coordinate or constant
+        # within the nesting limit, means what the table says, so the table
+        # keeps its value
+        key = arg = None
+        if tokens[pos][1] != "(":
+            key = (name, primes, None)
+        elif (tokens[pos + 1][0] == "ident" and tokens[pos + 2][1] == ")"
+              and self.depth < MAX_NESTING and tokens[pos + 1][1] not in table.funcs
+              and tokens[pos + 1][1] not in KNOWN_FUNCTIONS):
+            key = (name, primes, tokens[pos + 1][1])
+            self.pos += 3
+        found = table._atom_memo.get(key)
+        if found is not None:
+            return found
+        if key is None:
             self.next()
             arg = self.expr()
             self.expect_op(")")
-        table = self.symbols
+        elif key[2] is not None:
+            arg = Coord(key[2]) if key[2] in table.coords else Const(key[2])
         if name in table.funcs:
             func = table.funcs[name]
-            return FuncApp(func, primes, arg if arg is not None else Coord(func.var))
-        if name in KNOWN_FUNCTIONS:
+            atom = FuncApp(func, primes, arg if arg is not None else Coord(func.var))
+            if func.body is not None:
+                # kept as an atom: its body is applied where the value is
+                # read, so an error there keeps its left-to-right place
+                return atom
+        elif name in KNOWN_FUNCTIONS:
             if primes:
                 raise ParseError(
                     f"prime notation is not supported on built-in {name!r}", offset
                 )
             if arg is None:
                 raise ParseError(f"built-in function {name!r} needs an argument", offset)
-            return KnownFunc(name, arg)
-        if primes:
+            atom = KnownFunc(name, arg)
+        elif primes:
             raise ParseError(
                 f"unknown function name {name!r} used with prime notation "
                 "but never declared", offset
             )
-        if arg is not None:
+        elif arg is not None:
             raise ParseError(f"unknown function name {name!r}", offset)
-        if name in table.coords:
-            return Coord(name)
-        return Const(name)
+        else:
+            atom = Coord(name) if name in table.coords else Const(name)
+        if key is None:
+            return atom
+        table._atom_memo[key] = found = simplify(atom)
+        return found
 
 
 def parse(text: str, symbols: SymbolTable) -> Normal:

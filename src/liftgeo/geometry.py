@@ -161,26 +161,26 @@ def _det_minor(rows: tuple, cols: tuple, entry, memo: dict) -> Expr:
 
 
 def _blocks(g: Metric) -> list:
-    """Index tuples of the connected components of g's nonzero pattern.
+    """Index tuples of the connected components of g's nonzero pattern, in
+    the order of their first index, found once per metric.
 
     Reordered by them, g is block diagonal, so its determinant and inverse
     are assembled block by block; a dense metric is one block.
     """
-    n = g.dim
-    blocks, seen = [], set()
-    for start in range(n):
-        if start in seen:
-            continue
-        block, stack = {start}, [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in block and (g.entry(i, j) != ZERO or g.entry(j, i) != ZERO):
-                    block.add(j)
-                    stack.append(j)
-        seen |= block
-        blocks.append(tuple(sorted(block)))
-    return blocks
+    return _derive(g, "blocks", lambda: _block_search(g))
+
+
+def _block_search(g: Metric) -> list:
+    # one pass over the entries: a nonzero entry joins the blocks of its
+    # row and its column
+    block = [{i} for i in range(g.dim)]
+    for i, row in enumerate(g.components):
+        for j, e in enumerate(row):
+            if block[i] is not block[j] and e != ZERO:
+                joined = block[i] | block[j]
+                for k in joined:
+                    block[k] = joined
+    return list(dict.fromkeys(tuple(sorted(b)) for b in block))
 
 
 def determinant(g: Metric) -> Expr:

@@ -130,19 +130,22 @@ def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
 
 BLOCK_METRICS = [
     # a coupled 2x2 block on {t, theta} and a 1x1 block on {r}
-    (("t", "r", "theta"), {(0, 0): "t^2", (0, 2): "theta", (2, 2): "1 + t", (1, 1): "X(t)"}),
+    (("t", "r", "theta"), {(0, 0): "t^2", (0, 2): "theta", (2, 2): "1 + t", (1, 1): "X(t)"},
+     [(0, 2), (1,)]),
     # 1x1 blocks on {t} and {y} around a 2x2 block on {x, z}: a monomial
     # denominator, a negative leading coefficient and a Fraction coefficient
     (("t", "x", "y", "z"), {(0, 0): "-t^2/3", (1, 1): "x", (1, 3): "t/x",
-                            (3, 3): "1 + x^2", (2, 2): "(1 + t)/(2*x*y)"}),
+                            (3, 3): "1 + x^2", (2, 2): "(1 + t)/(2*x*y)"},
+     [(0,), (1, 3), (2,)]),
 ]
 
 
 def test_inverse_and_determinant_by_blocks():
     from liftgeo.geometry import _blocks, _det_minor
-    for coords, entries in BLOCK_METRICS:
+    for coords, entries, blocks in BLOCK_METRICS:
         chart = Chart(coords)
         g = Metric.from_entries(chart, {key: ref(text) for key, text in entries.items()})
+        assert _blocks(g) == blocks
         n = chart.dim
         assert matrix_mul(g.components, inverse(g).components) == identity_matrix(n)
         block_of = {i: b for b in _blocks(g) for i in b}
@@ -150,6 +153,20 @@ def test_inverse_and_determinant_by_blocks():
                    for i in range(n) for j in range(n) if j not in block_of[i])
         idx = tuple(range(n))
         assert determinant(g) == _det_minor(idx, idx, g.entry, {})
+
+
+def test_blocks_are_found_once_per_metric(monkeypatch):
+    # the determinant and the inverse of a fresh complete lift read one
+    # block search; its pattern joins each base slot with its fiber slot
+    from liftgeo import geometry
+    from liftgeo.gks import abstract_spec, build_gks
+    searches = []
+    search = geometry._block_search
+    monkeypatch.setattr(geometry, "_block_search", lambda g: searches.append(g) or search(g))
+    lifted = lift_metric(build_gks(abstract_spec()), LiftKind.COMPLETE)
+    inverse(lifted)
+    assert searches == [lifted]
+    assert geometry._blocks(lifted) == [(0, 4), (1, 5), (2, 6), (3, 7)]
 
 
 @pytest.mark.parametrize("kind", [None, LiftKind.SASAKI])

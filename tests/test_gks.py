@@ -257,6 +257,19 @@ def test_table_assemblies_sum_nonzero_terms_only(monkeypatch):
     assert all(len(terms) >= 2 for terms in cancelled)
 
 
+def test_transcribed_texts_are_parsed_once_per_process(monkeypatch):
+    # 41 distinct texts, 66 reads in the eight table scenarios
+    from liftgeo import gks
+    texts = []
+    parse = gks.parse
+    monkeypatch.setattr(gks, "parse", lambda text, table: texts.append(text) or parse(text, table))
+    gks._ref.cache_clear()
+    first = run_scenario("all")
+    assert len(texts) == len(set(texts)) == 41
+    assert run_scenario("all") == first
+    assert len(texts) == 41
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("riemann-hypothesis")
