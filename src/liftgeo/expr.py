@@ -44,7 +44,7 @@ __all__ = [
     "Expr", "Normal", "Coord", "Const", "FuncApp", "KnownFunc", "FuncSymbol",
     "SymbolTable", "ZeroVerdict", "ProbeConfig",
     "ExprError", "ParseError", "EvalError", "SingularPointError",
-    "SubstitutionError", "ResourceLimitError",
+    "ResourceLimitError",
     "parse", "to_string", "simplify", "derivation", "differentiate", "substitute",
     "eval_numeric", "is_identically_zero", "equivalent", "esum", "eprod",
     "ZERO", "ONE", "KNOWN_FUNCTIONS", "DEFAULT_PROBE_COUNT",
@@ -85,10 +85,6 @@ class EvalError(ExprError):
 class SingularPointError(EvalError):
     """A denominator fell below epsilon, or a value overflowed a double, at
     the evaluation point."""
-
-
-class SubstitutionError(ExprError):
-    pass
 
 
 class ResourceLimitError(ExprError):
@@ -626,7 +622,7 @@ def _apply_body(body: Expr, var: str, order: int, arg: Normal) -> Expr:
     for _ in range(order):
         body = differentiate(body, var)
     if arg != simplify(Coord(var)):
-        body = substitute(body, {var: arg})
+        body = substitute(body, var, arg)
     return body
 
 
@@ -644,47 +640,23 @@ def _free_coords(e: Expr) -> set:
     return {a.name for a in _atoms(e) if isinstance(a, Coord)}
 
 
-def substitute(e: Expr, bindings: Mapping) -> Normal:
-    """Simultaneous substitution into the normal form of e.
-
-    Keys may be FuncSymbol instances (the replacement expression is written
-    in the symbol's own variable, and its normal form may name no other
-    coordinate; all derivative orders are rewritten through it), Coord/Const
-    instances, or plain coordinate/constant names.
+def substitute(e: Expr, name: str, value) -> Normal:
+    """e with the coordinate or constant `name` replaced by value, inside
+    function arguments too.
 
     Each atom of the (num, den) pair is mapped once, and the terms of
     _layout are summed again by esum; each power of a replacement checks
     MAX_EXPANSION_TERMS before it expands.
     """
-    func_b: dict = {}
-    name_b: dict = {}
-    for key, value in bindings.items():
-        value = simplify(_as_expr(value))
-        if isinstance(key, FuncSymbol):
-            extra = _free_coords(value) - {key.var}
-            if extra:
-                raise SubstitutionError(
-                    f"binding for {key.name}({key.var}) depends on other "
-                    f"coordinate(s): {sorted(extra)}"
-                )
-            func_b[(key.name, key.var)] = value
-        elif isinstance(key, (Coord, Const)):
-            name_b[key.name] = value
-        elif isinstance(key, str):
-            name_b[key] = value
-        else:
-            raise SubstitutionError(f"unsupported binding key {key!r}")
+    value = simplify(_as_expr(value))
 
     def atom(a: Expr) -> Expr:
         if isinstance(a, (Coord, Const)):
-            return name_b.get(a.name, a)
+            return value if a.name == name else a
         arg = replaced(a.arg)
         if isinstance(a, KnownFunc):
             return KnownFunc(a.kind, arg)
-        repl = func_b.get((a.func.name, a.func.var))
-        if repl is None:
-            return FuncApp(a.func, a.order, arg)
-        return _apply_body(repl, a.func.var, a.order, arg)
+        return FuncApp(a.func, a.order, arg)
 
     def replaced(n: Normal) -> Normal:
         mapped = {key: simplify(atom(key.atom))

@@ -88,34 +88,35 @@ def _tangent_chart(chart: Chart, values) -> Chart:
 
 
 class Metric(_Record):
+    """A metric on a chart, symmetric by construction: entries maps
+    0-based (i, j) to a value, each entry sets both g_ij and g_ji, and an
+    unlisted entry is 0. An index outside the chart's matrix, or an (i, j)
+    and a (j, i) given different values, is a GeometryError. components is
+    the tuple of rows."""
+
     _fields = ("chart", "components", "frame")
     # _derived: values derived from this metric, built once each by _derive
     __slots__ = _fields + ("_derived",)
 
-    def __init__(self, chart: Chart, components, frame: Frame = Frame.NATURAL):
-        rows = tuple(tuple(row) for row in components)
-        n = chart.dim
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise GeometryError(
-                f"component matrix must be {n}x{n} for chart {chart.coords}"
-            )
+    def __init__(self, chart: Chart, entries: Mapping, frame: Frame = Frame.NATURAL):
         if frame is Frame.ADAPTED and not chart.is_tangent:
             raise GeometryError("adapted frames only exist on tangent charts")
-        _set(self, "chart", chart)
-        _set(self, "components", rows)
-        _set(self, "frame", frame)
-        _set(self, "_derived", {})
-
-    @classmethod
-    def from_entries(cls, chart: Chart, entries: Mapping, frame: Frame = Frame.NATURAL) -> "Metric":
-        """Build a symmetric matrix from 0-based (i, j) -> Expr entries."""
         n = chart.dim
         rows = [[ZERO] * n for _ in range(n)]
+        given: dict = {}
         for (i, j), e in entries.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise GeometryError(
+                    f"entry ({i}, {j}) lies outside the {n}x{n} matrix of chart {chart.coords}"
+                )
             e = simplify(e)
-            rows[i][j] = e
-            rows[j][i] = e
-        return cls(chart, tuple(tuple(r) for r in rows), frame)
+            if given.setdefault((min(i, j), max(i, j)), e) != e:
+                raise GeometryError(f"entries ({j}, {i}) and ({i}, {j}) differ")
+            rows[i][j] = rows[j][i] = e
+        _set(self, "chart", chart)
+        _set(self, "components", tuple(tuple(r) for r in rows))
+        _set(self, "frame", frame)
+        _set(self, "_derived", {})
 
     @property
     def dim(self) -> int:
@@ -194,73 +195,76 @@ def _determinant(g: Metric) -> Expr:
     return eprod(_det_minor(b, b, g.entry, memo) for b in _blocks(g))
 
 
+def _nondegeneracy(g: Metric, cfg: ProbeConfig) -> ex.ZeroVerdict:
+    """The zero test of g's determinant under cfg, the one that inverse and
+    validate read. Its verdict is kept on g per cfg, so each setting tests a
+    metric once and every call is still judged with its own cfg."""
+    return _derive(g, ("nondegeneracy", cfg),
+                   lambda: ex.is_identically_zero(determinant(g), cfg=cfg))
+
+
 def inverse(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> Metric:
     """Exact inverse as a Metric on the same chart: each diagonal block of g's
     nonzero pattern is its adjugate over its determinant, all else is 0. A
     1x1 block is the reciprocal of its entry, one negative power of a
     reduced pair with no product and no reduction.
 
-    Nondegeneracy is certified on every call: the determinant's zero test
-    runs with this call's cfg, while the inverse itself is built once.
+    The inverse is built once per metric. It is refused unless the
+    determinant is certified nonzero under this call's cfg, a verdict made
+    once per metric and cfg by _nondegeneracy.
     """
-    det = determinant(g)
-    verdict = ex.is_identically_zero(det, cfg=cfg)
+    verdict = _nondegeneracy(g, cfg)
     if verdict.is_zero:
         raise DegenerateMetricError("metric determinant is identically zero")
     if verdict.is_unknown:
         try:
-            shown = ex.to_string(det)
+            shown = ex.to_string(determinant(g))
         except ex.ExprError:  # a coefficient too long to print
             shown = "a determinant with a coefficient too long to print"
         raise DegenerateMetricError(
             "cannot certify nondegeneracy: determinant zero-test is inconclusive "
             f"for {shown}"
         )
-    return _derive(g, "inverse", lambda: _inverse(g, det))
+    return _derive(g, "inverse", lambda: _inverse(g))
 
 
-def _inverse(g: Metric, det: Expr) -> Metric:
-    n = g.dim
+def _inverse(g: Metric) -> Metric:
     memo: dict = {}
-    rows = [[ZERO] * n for _ in range(n)]
+    entries: dict = {}
     for block in _blocks(g):
         if len(block) == 1:
             (i,) = block
-            rows[i][i] = g.entry(i, i) ** -1
+            entries[(i, i)] = g.entry(i, i) ** -1
             continue
-        inv_det = (det if len(block) == n else _det_minor(block, block, g.entry, memo)) ** -1
+        # a block that is the whole matrix reads the kept determinant
+        inv_det = (determinant(g) if len(block) == g.dim
+                   else _det_minor(block, block, g.entry, memo)) ** -1
+        # the adjugate of a symmetric matrix is symmetric: build j >= i only
         for a, i in enumerate(block):
-            for b, j in enumerate(block):
+            for b, j in enumerate(block[a:], start=a):
                 # adj[i][j] = (-1)^(a+b) * block minor with row j and column i removed
                 minor_rows = block[:b] + block[b + 1:]
                 minor_cols = block[:a] + block[a + 1:]
                 m = _det_minor(minor_rows, minor_cols, g.entry, memo)
-                rows[i][j] = eprod(((-1) ** (a + b), m, inv_det))
-    return Metric(g.chart, rows, g.frame)
+                entries[(i, j)] = eprod(((-1) ** (a + b), m, inv_det))
+    return Metric(g.chart, entries, g.frame)
 
 
 def validate(g: Metric, *, cfg: ProbeConfig = ProbeConfig()) -> list:
-    """Diagnostics: symmetry, nondegeneracy, chart closure. Empty = valid."""
+    """Diagnostics: chart closure, then nondegeneracy under cfg as
+    _nondegeneracy judges it. Empty = valid. A Metric is symmetric by
+    construction."""
     issues = []
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if simplify(g.entry(i, j) - g.entry(j, i)) != ZERO:
-                issues.append(
-                    f"symmetry violation: g[{i + 1},{j + 1}] != g[{j + 1},{i + 1}]"
-                )
     allowed = set(g.chart.coords)
-    for i in range(n):
-        for j in range(i, n):
-            extra = sorted(ex._free_coords(g.entry(i, j)) - allowed)
-            if extra:
-                issues.append(
-                    f"chart-closure violation: g[{i + 1},{j + 1}] references "
-                    f"undeclared coordinate(s) {extra}"
-                )
+    for (i, j), e in g.items():
+        extra = sorted(ex._free_coords(e) - allowed)
+        if extra:
+            issues.append(
+                f"chart-closure violation: g[{i + 1},{j + 1}] references "
+                f"undeclared coordinate(s) {extra}"
+            )
     if not issues:
-        det = determinant(g)
-        verdict = ex.is_identically_zero(det, cfg=cfg)
+        verdict = _nondegeneracy(g, cfg)
         if verdict.is_zero:
             issues.append("degenerate: determinant is identically zero")
         elif verdict.is_unknown:
@@ -364,7 +368,7 @@ def parse_metric_document(text: str) -> Metric:
             raise MetricFileError(str(err), lineno) from None
     if chart is None:
         raise MetricFileError("missing chart line", 1)
-    return Metric.from_entries(chart, entries)
+    return Metric(chart, entries)
 
 
 def load_metric_document(path) -> Metric:

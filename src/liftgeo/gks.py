@@ -78,7 +78,7 @@ def build_gks(spec: GksSpec) -> Metric:
     X = spec.X.app()
     Y = spec.Y.app()
     f = spec.f.app()
-    return Metric.from_entries(BASE_CHART, {
+    return Metric(BASE_CHART, {
         (0, 0): ex.ONE,
         (1, 1): -(X * X),
         (2, 2): -(Y * Y),

@@ -65,7 +65,7 @@ def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
         if kind is LiftKind.COMPLETE:
             entries[(i, j)] = complete_lift(v)
     frame = Frame.NATURAL if kind is LiftKind.COMPLETE else Frame.ADAPTED
-    return Metric.from_entries(tchart, entries, frame)
+    return Metric(tchart, entries, frame)
 
 
 def _fiber_field(tchart: Chart) -> dict:
@@ -116,8 +116,8 @@ def lift_connection(
     base connection: Sasaki and horizontal in the adapted frame (Sasaki adds
     the base curvature), complete in natural induced coordinates.
 
-    It is built once per metric and kind, while nondegeneracy is certified
-    on every call, with this call's cfg.
+    It is built once per metric and kind. Each call is judged with its own
+    cfg: the base metric's nondegeneracy verdict is made once per cfg.
     """
     kind = LiftKind(kind)
     conn = christoffel(g, cfg=cfg)

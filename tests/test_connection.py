@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from liftgeo import _poly
-from liftgeo.expr import Normal, ZERO, equivalent, esum, simplify
+from liftgeo.expr import ONE, Normal, ZERO, equivalent, esum, simplify
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
 from liftgeo.geometry import Chart, GeometryError, Metric
 
-from conftest import identity_matrix, ref
+from conftest import ref
 
 GKS_GAMMA = {
     (0, 1, 1): "X(t)*X'(t)",
@@ -48,7 +48,7 @@ def test_gks_christoffel_matches_closed_forms(gks_conn):
 
 
 def test_euclidean_christoffel_vanishes():
-    g = Metric(Chart(("t", "r", "theta", "phi")), identity_matrix(4))
+    g = Metric(Chart(("t", "r", "theta", "phi")), {(i, i): ONE for i in range(4)})
     assert christoffel(g).coefficients == {}
 
 
@@ -74,7 +74,7 @@ def test_adapted_frames_rejected_by_christoffel(gks_metric):
 
 
 def test_flat_curvature_vanishes():
-    g = Metric(Chart(("t", "r", "theta", "phi")), identity_matrix(4))
+    g = Metric(Chart(("t", "r", "theta", "phi")), {(i, i): ONE for i in range(4)})
     assert riemann(christoffel(g)).components == {}
 
 
@@ -149,7 +149,7 @@ def test_a_number_times_a_contraction_takes_no_reduction(gks_riemann, monkeypatc
 
 
 def test_fiber_contraction_of_flat_is_empty():
-    g = Metric(Chart(("t", "r")), identity_matrix(2))
+    g = Metric(Chart(("t", "r")), {(i, i): ONE for i in range(2)})
     assert fiber_contract(riemann(christoffel(g))) == {}
 
 
@@ -168,7 +168,7 @@ def test_compatibility_residual_flags_zero_connection(gks_metric):
 
 def test_compatibility_residual_flat_zero_connection():
     from liftgeo.connection import Connection
-    g = Metric(Chart(("t", "r")), identity_matrix(2))
+    g = Metric(Chart(("t", "r")), {(i, i): ONE for i in range(2)})
     res = metric_compatibility_residual(g, Connection(g.chart, {}))
     assert all(v == ZERO for v in res.values())
 
@@ -180,7 +180,7 @@ def test_concurrent_first_use_shares_one_value():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            g = Metric.from_entries(Chart(("theta", "phi")), {
+            g = Metric(Chart(("theta", "phi")), {
                 (0, 0): ref("1"), (1, 1): ref("sin(theta)^2"),
             })
             results = []

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from liftgeo import _poly
 from liftgeo.expr import (
     Const, Coord, EvalError, ExprError, FuncApp, FuncSymbol, KnownFunc, Normal,
-    ParseError, ProbeConfig, ResourceLimitError, SingularPointError, SubstitutionError,
+    ParseError, ProbeConfig, ResourceLimitError, SingularPointError,
     SymbolTable, MAX_EXPANSION_TERMS, ONE, ZERO,
     derivation, differentiate, eprod, equivalent, esum, eval_numeric, is_identically_zero,
     parse, simplify, substitute, to_string, _d_nf, _frac_of, _power_term_bound, _reduced,
@@ -177,46 +177,50 @@ def test_division_by_identically_zero_rejected():
 # ---------------------------------------------------------------------------
 # substitution
 
-def test_substitute_renames_all_orders():
+def with_body(func: FuncSymbol, body) -> SymbolTable:
+    """The symbols of syms() with func given body, written in func's own
+    variable: the one binding the package makes, read where an application
+    of func is read."""
     table = syms()
-    Xh = table.funcs["Xh"]
-    e = substitute(parse("X'(t)/X(t)", table), {X: FuncApp(Xh, 0, Coord("t"))})
-    assert e == ref("Xh'(t)/Xh(t)")
+    return SymbolTable(table.coords, [FuncSymbol(func.name, func.var, body) if f == func else f
+                                      for f in table.funcs.values()])
+
+
+def test_substitute_renames_all_orders():
+    table = with_body(X, ref("Xh(t)"))
+    assert parse("X'(t)/X(t)", table) == ref("Xh'(t)/Xh(t)")
+    # at another argument the body's derivative is substituted there
+    assert parse("X''(t^2)", table) == ref("Xh''(t^2)")
 
 
 def test_substitute_concrete_body():
-    e = substitute(parse("f(theta)*f'(theta)", syms()),
-                   {F: KnownFunc("sinh", Coord("theta"))})
+    e = parse("f(theta)*f'(theta)", with_body(F, ref("sinh(theta)")))
     assert e == ref("sinh(theta)*cosh(theta)")
 
 
 def test_substitute_constant_kills_derivatives():
-    e = substitute(parse("X'(t)*X(t)", syms()), {X: Const("c1")})
-    assert e == ZERO
+    assert parse("X'(t)*X(t)", with_body(X, ref("c1"))) == ZERO
 
 
 def test_substitute_coordinate_binding():
-    e = substitute(parse("theta^2 + phi", syms()), {"theta": parse("2", syms())})
+    e = substitute(parse("theta^2 + phi", syms()), "theta", parse("2", syms()))
     assert e == ref("4 + phi")
-
-
-def test_substitute_rejects_foreign_coordinate():
-    with pytest.raises(SubstitutionError):
-        substitute(parse("X(t)", syms()), {X: Coord("theta")})
+    # a constant is bound as a coordinate is, inside function arguments too
+    e = substitute(ref("c1*X(c1 + t)"), "c1", ref("2*r"))
+    assert e == ref("2*r*X(2*r + t)")
 
 
 def test_substitute_reads_the_binding_normal_form():
-    # r cancels in t + r - r, so the binding depends on t alone
-    binding = esum((Coord("t"), Coord("r"), (-1, Coord("r"))))
-    assert substitute(parse("X(t)^2", syms()), {X: binding}) == ref("t^2")
+    # r cancels in t + r - r, so the body depends on t alone
+    body = esum((Coord("t"), Coord("r"), (-1, Coord("r"))))
+    assert parse("X(t)^2", with_body(X, body)) == ref("t^2")
 
 
 def test_differentiate_commutes_with_concrete_substitution():
-    table = syms()
-    e = parse("f(theta)^2*f'(theta) + 1/f(theta)", table)
-    binding = {F: KnownFunc("sin", Coord("theta"))}
-    a = differentiate(substitute(e, binding), "theta")
-    b = substitute(differentiate(e, "theta"), binding)
+    text = "f(theta)^2*f'(theta) + 1/f(theta)"
+    table = with_body(F, ref("sin(theta)"))
+    a = differentiate(parse(text, table), "theta")
+    b = parse(to_string(differentiate(parse(text, syms()), "theta")), table)
     assert equivalent(a, b)
 
 
@@ -235,7 +239,7 @@ def test_eval_known_function():
 
 
 def test_eval_denominator_epsilon():
-    e = substitute(parse("1/f(theta)^2", syms()), {F: Coord("theta")})
+    e = parse("1/theta^2", syms())
     with pytest.raises(SingularPointError):
         eval_numeric(e, {"theta": 0.0})
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftgeo.expr import ZERO, equivalent, simplify, to_string
+from liftgeo.expr import ONE, ZERO, ProbeConfig, equivalent, simplify, to_string
 from liftgeo.geometry import (
     Chart, DegenerateMetricError, Frame, GeometryError, Metric,
     MetricFileError, determinant, inverse, parse_metric_document, validate,
@@ -37,11 +37,13 @@ def test_tangent_chart_rejects_fiber_name_clash():
 
 
 def test_metric_shape_checked():
+    # an entry's 0-based index must lie in the chart's matrix
     chart = Chart(("t", "r"))
-    with pytest.raises(GeometryError):
-        Metric(chart, ((ref("1"),),))
-    with pytest.raises(GeometryError):
-        Metric(chart, identity_matrix(2), Frame.ADAPTED)
+    for key in ((0, 2), (2, 2), (-1, 0)):
+        with pytest.raises(GeometryError, match=r"outside the 2x2 matrix"):
+            Metric(chart, {(0, 0): ONE, key: ONE})
+    with pytest.raises(GeometryError, match="adapted"):
+        Metric(chart, {(0, 0): ONE, (1, 1): ONE}, Frame.ADAPTED)
 
 
 def test_inverse_of_gks_is_the_reciprocal_diagonal(gks_metric):
@@ -59,7 +61,7 @@ def test_inverse_of_gks_is_the_reciprocal_diagonal(gks_metric):
 
 
 def test_inverse_of_identity():
-    g = Metric(Chart(("t", "r", "theta", "phi")), identity_matrix(4))
+    g = Metric(Chart(("t", "r", "theta", "phi")), {(i, i): ONE for i in range(4)})
     assert inverse(g).components == identity_matrix(4)
 
 
@@ -74,7 +76,7 @@ def test_determinant_of_gks(gks_metric):
 
 
 def test_determinant_of_identity():
-    g = Metric(Chart(("t", "r", "theta", "phi")), identity_matrix(4))
+    g = Metric(Chart(("t", "r", "theta", "phi")), {(i, i): ONE for i in range(4)})
     assert determinant(g) == ref("1")
 
 
@@ -92,7 +94,7 @@ def test_det_of_inverse_is_reciprocal(gks_metric, sphere_metric):
 
 def test_degenerate_metric_rejected():
     chart = Chart(("t", "r"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1")})  # zero row
+    g = Metric(chart, {(0, 0): ref("1")})  # zero row
     with pytest.raises(DegenerateMetricError):
         inverse(g)
 
@@ -100,7 +102,7 @@ def test_degenerate_metric_rejected():
 def test_inconclusive_determinant_refused_with_diagnostic():
     # symbolically nonzero but numerically zero under the opaque-trig policy
     chart = Chart(("theta", "x"))
-    g = Metric.from_entries(chart, {
+    g = Metric(chart, {
         (0, 0): ref("theta*sin(theta)^2 + theta*cos(theta)^2 - theta"),
         (1, 1): ref("1"),
     })
@@ -108,21 +110,42 @@ def test_inconclusive_determinant_refused_with_diagnostic():
         inverse(g)
 
 
-def test_nondegeneracy_is_certified_on_every_call(monkeypatch):
-    # the inverse algebra is kept on the metric, the zero test is not
+def test_nondegeneracy_verdict_is_kept_per_probe_setting(monkeypatch):
+    # the determinant's zero test runs once per metric and ProbeConfig, and
+    # every call is judged by the verdict of its own setting: a second
+    # setting tests again, and an uncertifiable metric fails on every call
     from liftgeo import expr
     from liftgeo.connection import christoffel
-    g = Metric.from_entries(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
-    inverse(g)
-    lift_connection(g, LiftKind.COMPLETE)
+    tested = []
+    zero_test = expr.is_identically_zero
     monkeypatch.setattr(expr, "is_identically_zero",
-                        lambda e, **kw: expr.ZeroVerdict("unknown"))
-    with pytest.raises(DegenerateMetricError, match="inconclusive"):
-        inverse(g)
-    with pytest.raises(DegenerateMetricError, match="inconclusive"):
-        christoffel(g)
-    with pytest.raises(DegenerateMetricError, match="inconclusive"):
-        lift_connection(g, LiftKind.COMPLETE)
+                        lambda e, cfg: tested.append(cfg) or zero_test(e, cfg=cfg))
+    g = Metric(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
+    seed3 = ProbeConfig(seed=3)
+    for cfg in (ProbeConfig(), seed3, ProbeConfig()):
+        inverse(g, cfg=cfg)
+        christoffel(g, cfg=cfg)
+        lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
+        assert validate(g, cfg=cfg) == []
+    assert tested == [ProbeConfig(), seed3]
+
+    # the same verdict that a fresh zero test under each setting reaches
+    tested.clear()
+    g = Metric(Chart(("theta", "x")), {
+        (0, 0): ref("theta*sin(theta)^2 + theta*cos(theta)^2 - theta"),
+        (1, 1): ref("1"),
+    })
+    for cfg in (ProbeConfig(), seed3) * 2:
+        assert zero_test(determinant(g), cfg=cfg).is_unknown
+        for build in (inverse, christoffel):
+            with pytest.raises(DegenerateMetricError, match="inconclusive"):
+                build(g, cfg=cfg)
+        with pytest.raises(DegenerateMetricError, match="inconclusive"):
+            lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
+        assert validate(g, cfg=cfg) == [
+            "nondegeneracy is inconclusive (determinant zero-test unknown)"
+        ]
+    assert tested == [ProbeConfig(), seed3]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +167,7 @@ def test_inverse_and_determinant_by_blocks():
     from liftgeo.geometry import _blocks, _det_minor
     for coords, entries, blocks in BLOCK_METRICS:
         chart = Chart(coords)
-        g = Metric.from_entries(chart, {key: ref(text) for key, text in entries.items()})
+        g = Metric(chart, {key: ref(text) for key, text in entries.items()})
         assert _blocks(g) == blocks
         n = chart.dim
         assert matrix_mul(g.components, inverse(g).components) == identity_matrix(n)
@@ -153,6 +176,23 @@ def test_inverse_and_determinant_by_blocks():
                    for i in range(n) for j in range(n) if j not in block_of[i])
         idx = tuple(range(n))
         assert determinant(g) == _det_minor(idx, idx, g.entry, {})
+
+
+def test_a_two_by_two_block_builds_its_upper_adjugate_triangle(monkeypatch):
+    # the adjugate of a symmetric block is symmetric: each BLOCK_METRICS
+    # case has one 2x2 block, whose inverse builds 3 adjugate entries, not
+    # 4, and its 1x1 blocks build none
+    from liftgeo import geometry
+    for coords, entries, _ in BLOCK_METRICS:
+        g = Metric(Chart(coords), {key: ref(text) for key, text in entries.items()})
+        built = []
+        eprod = geometry.eprod
+        monkeypatch.setattr(geometry, "eprod", lambda fs: built.append(fs) or eprod(fs))
+        ginv = geometry._inverse(g)
+        monkeypatch.undo()
+        assert len(built) == 3
+        assert matrix_mul(g.components, ginv.components) == identity_matrix(g.dim)
+        assert ginv == inverse(g)
 
 
 def test_blocks_are_found_once_per_metric(monkeypatch):
@@ -177,9 +217,8 @@ def test_one_by_one_blocks_invert_without_products(kind, monkeypatch):
     from liftgeo.gks import abstract_spec, build_gks
     g = build_gks(abstract_spec())
     g = g if kind is None else lift_metric(g, kind)
-    det = determinant(g)
     calls = count_poly_calls(monkeypatch)
-    ginv = geometry._inverse(g, det)
+    ginv = geometry._inverse(g)
     monkeypatch.undo()
     assert calls == {"p_mul": 0, "f_make": 0}
     assert matrix_mul(g.components, ginv.components) == identity_matrix(g.dim)
@@ -191,7 +230,7 @@ def test_shared_pairs_are_never_mutated():
     from liftgeo.expr import eprod, esum
     values = [ref(text) for text in ("X(t)^2/(2*t)", "-3/t^2", "t/(1 + t)", "X(t)/t^2")]
     before = [(dict(v.num), dict(v.den)) for v in values]
-    g = Metric.from_entries(Chart(("t", "r", "theta", "phi")),
+    g = Metric(Chart(("t", "r", "theta", "phi")),
                             {(i, i): v for i, v in enumerate(values)})
     ginv = inverse(g)
     for i, v in enumerate(values):
@@ -205,7 +244,7 @@ def test_shared_pairs_are_never_mutated():
 
 def test_zero_one_by_one_block_is_degenerate():
     chart = Chart(("t", "r", "theta"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1"), (0, 2): ref("t"), (2, 2): ref("2")})
+    g = Metric(chart, {(0, 0): ref("1"), (0, 2): ref("t"), (2, 2): ref("2")})
     assert determinant(g) == ZERO
     with pytest.raises(DegenerateMetricError):
         inverse(g)
@@ -233,23 +272,30 @@ def test_validate_clean_metric(gks_metric):
     assert validate(gks_metric) == []
 
 
-def test_validate_flags_asymmetry():
-    chart = Chart(("t", "r"))
-    g = Metric(chart, ((ref("1"), ref("t")), (ref("2*t"), ref("1"))))
-    issues = validate(g)
-    assert any("symmetry" in msg for msg in issues)
+def test_asymmetric_entries_are_refused_at_construction():
+    # g_12 = t, g_21 = 2t: the determinant would read both triangles and
+    # every other operation the upper one, so no Metric holds the pair
+    chart = Chart(("t", "x"))
+    with pytest.raises(GeometryError, match=r"entries \(0, 1\) and \(1, 0\) differ"):
+        Metric(chart, {(0, 0): ref("1"), (0, 1): ref("t"), (1, 0): ref("2*t"), (1, 1): ref("1")})
+    # equal mirrored entries are one entry, compared as canonical values
+    g = Metric(chart, {(0, 0): ref("1"), (0, 1): ref("t"), (1, 0): ref("2*t - t"),
+                       (1, 1): ref("1")})
+    assert g == Metric(chart, {(0, 0): ref("1"), (0, 1): ref("t"), (1, 1): ref("1")})
+    assert g.entry(1, 0) == g.entry(0, 1) == ref("t")
+    assert determinant(g) == ref("1 - t^2")
 
 
 def test_validate_flags_foreign_coordinate():
     chart = Chart(("t", "r"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1"), (1, 1): ref("theta^2")})
+    g = Metric(chart, {(0, 0): ref("1"), (1, 1): ref("theta^2")})
     issues = validate(g)
     assert any("chart-closure" in msg for msg in issues)
 
 
 def test_validate_flags_degenerate():
     chart = Chart(("t", "r"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1")})
+    g = Metric(chart, {(0, 0): ref("1")})
     issues = validate(g)
     assert any("degenerate" in msg for msg in issues)
 

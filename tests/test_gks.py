@@ -216,9 +216,13 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
 # numbers changes no reduction; each atom is derived once per coordinate per
 # assembly, a power or negation of a value is not reduced again, a
 # matching table entry builds no difference, a 1x1 block of an inverse is
-# one reciprocal, and a number times a value is not reduced again
+# one reciprocal, and a number times a value is not reduced again; an
+# inverse builds the upper triangle of each block's adjugate (the Sasaki
+# inverse has 1x1 blocks only, the horizontal one 2x2 blocks)
 SASAKI_F_MAKE_CALLS = 110
 SASAKI_P_MUL_CALLS = 509
+HORIZONTAL_F_MAKE_CALLS = 21
+HORIZONTAL_P_MUL_CALLS = 118
 
 
 def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):
@@ -227,6 +231,26 @@ def test_sasaki_scenario_pins_its_polynomial_calls(monkeypatch):
     monkeypatch.undo()
     assert result.passed
     assert calls == {"p_mul": SASAKI_P_MUL_CALLS, "f_make": SASAKI_F_MAKE_CALLS}
+
+
+def test_horizontal_scenario_pins_its_polynomial_calls(monkeypatch):
+    calls = count_poly_calls(monkeypatch)
+    (result,) = run_scenario("horizontal")
+    monkeypatch.undo()
+    assert result.passed
+    assert calls == {"p_mul": HORIZONTAL_P_MUL_CALLS, "f_make": HORIZONTAL_F_MAKE_CALLS}
+
+
+def test_an_all_call_makes_one_zero_test_per_determinant_and_setting(monkeypatch):
+    # each metric keeps its nondegeneracy verdict per ProbeConfig, so the
+    # inverse, Christoffel and trace builds of one call share it
+    from liftgeo import expr
+    tested = []
+    zero_test = expr.is_identically_zero
+    monkeypatch.setattr(expr, "is_identically_zero",
+                        lambda e, **kw: tested.append(e) or zero_test(e, **kw))
+    run_scenario("all")
+    assert len(tested) == 23
 
 
 def test_table_assemblies_sum_nonzero_terms_only(monkeypatch):

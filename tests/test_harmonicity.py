@@ -25,7 +25,7 @@ PLANE_SYMBOLS = SymbolTable(coords=PLANE.coords)
 
 
 def plane_metric(g11: str, g12: str, g22: str) -> Metric:
-    return Metric.from_entries(PLANE, {
+    return Metric(PLANE, {
         (0, 0): parse(g11, PLANE_SYMBOLS), (0, 1): parse(g12, PLANE_SYMBOLS),
         (1, 1): parse(g22, PLANE_SYMBOLS),
     })
@@ -164,7 +164,7 @@ def test_sasaki_note_holds_on_a_non_diagonal_pair():
     chart = Chart(("t", "x"))
 
     def metric(g11, g12, g22):
-        return Metric.from_entries(chart, {
+        return Metric(chart, {
             (0, 0): parse(g11, syms), (0, 1): parse(g12, syms), (1, 1): parse(g22, syms),
         })
 
@@ -197,8 +197,8 @@ def test_undecided_verdict_is_surfaced_not_coerced():
     # the residual is -1/2 (sin^2 + cos^2 - 1): nonzero as a rational
     # function of the opaque atoms, numerically zero at every probe
     chart = Chart(("theta", "x"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1"), (1, 1): ref("1")})
-    d = Metric.from_entries(chart, {
+    g = Metric(chart, {(0, 0): ref("1"), (1, 1): ref("1")})
+    d = Metric(chart, {
         (0, 0): ref("1"),
         (1, 1): ref("1 + theta*sin(theta)^2 + theta*cos(theta)^2 - theta"),
     })
@@ -235,8 +235,9 @@ def test_adapted_frame_pairs_are_routed_to_lifted_harmonicity(gks_metric):
 @pytest.mark.parametrize("kind", list(LiftKind), ids=lambda kind: kind.value)
 def test_a_lifted_verdict_makes_only_the_base_zero_tests(kind, monkeypatch):
     # the lifted verdict is the base verdict carried, not judged again; the
-    # metrics are read afresh per count, as each inverse certifies its
-    # determinant on every call
+    # metrics are read afresh per count, as each keeps its nondegeneracy
+    # verdict per probe setting: one zero test of each determinant, then
+    # the traces until one is certified nonzero, here the first
     calls = []
     zero_test = expr.is_identically_zero
     monkeypatch.setattr(expr, "is_identically_zero",
@@ -249,7 +250,7 @@ def test_a_lifted_verdict_makes_only_the_base_zero_tests(kind, monkeypatch):
         return len(calls)
 
     base = zero_tests(harmonicity_residuals)
-    assert zero_tests(lambda g, d: lifted_harmonicity(g, d, kind)) == base == 4
+    assert zero_tests(lambda g, d: lifted_harmonicity(g, d, kind)) == base == 3
 
 
 def test_lifted_pair_on_different_charts_rejected(gks_metric, sphere_metric):

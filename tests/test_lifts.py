@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liftgeo import _poly, lifts
-from liftgeo.expr import Const, Coord, ZERO, differentiate, eprod, equivalent, esum
+from liftgeo.expr import ONE, Const, Coord, ZERO, differentiate, eprod, equivalent, esum
 from liftgeo.connection import (
     christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
@@ -17,7 +17,7 @@ from liftgeo.geometry import (
 from liftgeo.gks import abstract_spec, build_gks
 from liftgeo.lifts import LiftKind, lift_connection, lift_metric
 
-from conftest import identity_matrix, ref
+from conftest import ref
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def gks_conn(gks_metric):
 
 def flat_metric(n=4):
     names = ("t", "r", "theta", "phi")[:n]
-    return Metric(Chart(names), identity_matrix(n))
+    return Metric(Chart(names), {(i, i): ONE for i in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_lift_of_lifted_metric_rejected(gks_metric):
 def test_constant_named_like_a_fiber_coordinate_is_rejected():
     # the constant u1 would print, re-parse and be probed as the fiber
     # coordinate u1 of the tangent chart
-    g = Metric.from_entries(Chart(("t", "x")), {
+    g = Metric(Chart(("t", "x")), {
         (0, 0): ref("1"), (1, 1): eprod((Const("u1"), ref("sin(t)^2"))),
     })
     conn = christoffel(g)
@@ -105,7 +105,7 @@ def test_constant_named_like_a_fiber_coordinate_is_rejected():
 
 def test_lift_connection_reads_the_tangent_chart_once_per_build(monkeypatch):
     # a kept lift connection walks no metric value again
-    g = Metric.from_entries(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
+    g = Metric(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
     charts = []
     tangent_chart = lifts._tangent_chart
     monkeypatch.setattr(lifts, "_tangent_chart",
@@ -246,7 +246,7 @@ def test_lift_connections_vanish_on_flat_base():
 def test_sasaki_horizontal_reduce_to_base_when_curvature_vanishes():
     # polar-plane style metric: nonzero connection, identically zero curvature
     chart = Chart(("t", "r"))
-    g = Metric.from_entries(chart, {(0, 0): ref("1"), (1, 1): ref("t^2")})
+    g = Metric(chart, {(0, 0): ref("1"), (1, 1): ref("t^2")})
     conn = christoffel(g)
     assert conn.coefficients  # nontrivial
     assert riemann(conn).components == {}

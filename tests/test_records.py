@@ -21,7 +21,7 @@ CHART = Chart(("t", "x"))
 
 
 def _metric():
-    return Metric(CHART, [[ONE, ZERO], [ZERO, t * t]])
+    return Metric(CHART, {(0, 0): ONE, (1, 1): t * t})
 
 
 def _samples():
@@ -100,7 +100,7 @@ def test_validation_still_raises():
     with pytest.raises(GeometryError, match="repeats"):
         Chart(("t", "t"))
     with pytest.raises(GeometryError, match="2x2"):
-        Metric(CHART, [[ONE]])
+        Metric(CHART, {(0, 2): ONE})
     with pytest.raises(ValueError, match="theta"):
         gks.GksSpec(X, X, X)
 
