@@ -14,17 +14,21 @@ process ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import itertools
 import json
 import os
 import sys
 
+try:
+    # hashlib loads OpenSSL; the interpreter's own module gives the same digest
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
+
 from . import SCENARIO_NAMES, __version__
 from . import expr as ex
 from .expr import ProbeConfig, to_string
-from .geometry import GeometryError, MetricFileError, load_metric_document, validate
+from .geometry import GeometryError, MetricFileError, parse_metric_document, validate
 from .connection import christoffel, fiber_contract, metric_compatibility_residual, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import harmonicity_residuals, lifted_harmonicity
@@ -97,10 +101,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+class _UnreadableFile(Exception):
+    """The path of a metric file that cannot be opened, read or decoded as
+    UTF-8."""
+
+
+def _load(path: str) -> tuple:
+    """The metric of the file at path and its report input: the path and
+    the SHA-256 of the bytes that were parsed. The file is read once, as
+    UTF-8; parse_metric_document's splitlines ends a line at \\n, \\r\\n or
+    \\r, as universal newlines do."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        raise _UnreadableFile(path) from None
+    return parse_metric_document(text), {"path": path, "sha256": _sha256(data).hexdigest()}
 
 
 def _report(command: str, inputs, results, diagnostics) -> dict:
@@ -213,14 +230,16 @@ def _fmt_witness(witness) -> str:
 # subcommand implementations
 
 def _cmd_christoffel(args, cfg) -> tuple:
-    conn = christoffel(load_metric_document(args.metric_file), cfg=cfg)
+    metric, source = _load(args.metric_file)
+    conn = christoffel(metric, cfg=cfg)
     coeffs = _expr_map((conn.display_key(*key), v) for key, v in conn.items())
     results = {"coefficients": coeffs}
-    return _report("christoffel", [_digest(args.metric_file)], results, []), EXIT_OK
+    return _report("christoffel", [source], results, []), EXIT_OK
 
 
 def _cmd_curvature(args, cfg) -> tuple:
-    conn = christoffel(load_metric_document(args.metric_file), cfg=cfg)
+    metric, source = _load(args.metric_file)
+    conn = christoffel(metric, cfg=cfg)
     riem = riemann(conn)
     comps = _expr_map((riem.display_key(*key), v) for key, v in riem.items())
     results = {"components": comps}
@@ -229,11 +248,11 @@ def _cmd_curvature(args, cfg) -> tuple:
         results["fiber_contracted"] = _expr_map(
             (riem.display_key(h, i, j, "0"), v) for (h, i, j), v in sorted(contracted.items())
         )
-    return _report("curvature", [_digest(args.metric_file)], results, []), EXIT_OK
+    return _report("curvature", [source], results, []), EXIT_OK
 
 
 def _cmd_lift(args, cfg) -> tuple:
-    metric = load_metric_document(args.metric_file)
+    metric, source = _load(args.metric_file)
     kind = LiftKind(args.kind)
     lifted = lift_metric(metric, kind)
     name = lifted.chart.index_name
@@ -247,12 +266,12 @@ def _cmd_lift(args, cfg) -> tuple:
         results["connection"] = _expr_map(
             (conn.display_key(*key), v) for key, v in conn.items()
         )
-    return _report("lift", [_digest(args.metric_file)], results, []), EXIT_OK
+    return _report("lift", [source], results, []), EXIT_OK
 
 
 def _cmd_harmonic(args, cfg) -> tuple:
-    g = load_metric_document(args.g_file)
-    d = load_metric_document(args.d_file)
+    g, g_source = _load(args.g_file)
+    d, d_source = _load(args.d_file)
     if args.lift:
         report = lifted_harmonicity(g, d, LiftKind(args.lift), cfg=cfg)
     else:
@@ -266,11 +285,12 @@ def _cmd_harmonic(args, cfg) -> tuple:
         "notes": list(report.notes),
     }
     code = EXIT_INCONCLUSIVE if report.verdict.kind == "undecided" else EXIT_OK
-    inputs = [_digest(args.g_file), _digest(args.d_file)]
-    return _report("harmonic", inputs, results, []), code
+    return _report("harmonic", [g_source, d_source], results, []), code
 
 
 def _cmd_paper_check(args, cfg) -> tuple:
+    from dataclasses import asdict
+
     from .gks import run_scenario
 
     scenario_results = run_scenario(args.scenario, cfg)
@@ -280,7 +300,7 @@ def _cmd_paper_check(args, cfg) -> tuple:
             "scenario": res.scenario,
             "passed": res.passed,
             "inconclusive": res.inconclusive,
-            "entries": [dataclasses.asdict(e) for e in res.entries],
+            "entries": [asdict(e) for e in res.entries],
             "notes": list(res.notes),
         })
     results = {"scenarios": payload}
@@ -294,7 +314,7 @@ def _cmd_paper_check(args, cfg) -> tuple:
 
 
 def _cmd_verify(args, cfg) -> tuple:
-    metric = load_metric_document(args.metric_file)
+    metric, source = _load(args.metric_file)
     checks = []
 
     issues = validate(metric, cfg=cfg)
@@ -305,8 +325,7 @@ def _cmd_verify(args, cfg) -> tuple:
     })
     if issues:
         # the remaining checks need a usable Levi-Civita connection
-        return _report("verify", [_digest(args.metric_file)],
-                       {"checks": checks}, []), EXIT_CHECK_FAILED
+        return _report("verify", [source], {"checks": checks}, []), EXIT_CHECK_FAILED
 
     conn = christoffel(metric, cfg=cfg)
     residual = metric_compatibility_residual(metric, conn)
@@ -364,7 +383,7 @@ def _cmd_verify(args, cfg) -> tuple:
         code = EXIT_CHECK_FAILED
     else:
         code = EXIT_OK
-    return _report("verify", [_digest(args.metric_file)], results, []), code
+    return _report("verify", [source], results, []), code
 
 
 _COMMANDS = {
@@ -396,8 +415,8 @@ def main(argv=None) -> int:
     except (MetricFileError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as err:
-        print(f"error: cannot read {err.filename}", file=sys.stderr)
+    except _UnreadableFile as err:
+        print(f"error: cannot read {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GeometryError, ex.ExprError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -38,7 +38,8 @@ from .geometry import Chart, Metric, inverse
 from .connection import christoffel, fiber_contract, riemann
 from .lifts import LiftKind, lift_connection, lift_metric
 from .harmonicity import HarmonicityReport, _trace, harmonicity_residuals, lifted_harmonicity
-from .oracle import ReconEntry, reconcile_with_paper
+from .oracle import reconcile_with_paper
+from ._recon import ReconEntry
 
 __all__ = [
     "BASE_CHART", "GksSpec", "abstract_spec", "hatted_abstract_spec",
@@ -374,7 +375,7 @@ class ScenarioResult(_Record):
 
     def __init__(self, scenario: str, entries: tuple, notes: tuple = ()):
         _set(self, "scenario", scenario)
-        _set(self, "entries", entries)  # of oracle.ReconEntry
+        _set(self, "entries", entries)  # of _recon.ReconEntry
         _set(self, "notes", notes)
 
     @property
@@ -511,12 +512,14 @@ def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
     ]
 
     # the closed form of lift_connection against every slot, including the
-    # mirror slots the printed table omits
+    # mirror slots the printed table omits: both are natural-frame
+    # connections that store their nonzero (k, i <= j) slots only, so the
+    # slots outside the union of their keys are 0 on both sides
     closed = lift_connection(g, LiftKind.COMPLETE, cfg=cfg)
     bad = [
-        conn.display_key(k, i, j)
-        for k in range(8) for i in range(8) for j in range(i, 8)
-        if not equivalent(conn.get(k, i, j), closed.get(k, i, j))
+        conn.display_key(*key)
+        for key in sorted(conn.coefficients.keys() | closed.coefficients.keys())
+        if not equivalent(conn.get(*key), closed.get(*key))
     ]
     entries.append(ReconEntry(
         name="general-pattern",

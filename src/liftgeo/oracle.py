@@ -3,25 +3,24 @@ reference-table reconciliation.
 
 A derivative is checked by a Richardson step over central differences of
 step FD_STEP and passes within the relative error FD_REL_TOL. Reconciliation
-returns one ReconEntry per table entry. Random-point identity probing, which
-it uses for entries that do not cancel exactly, lives in
-:func:`liftgeo.expr.is_identically_zero`. An abstract function is evaluated
-through jets of a polynomial stand-in drawn from the seed."""
+returns one ReconEntry (of liftgeo._recon) per table entry. Random-point
+identity probing, which it uses for entries that do not cancel exactly,
+lives in :func:`liftgeo.expr.is_identically_zero`. An abstract function is
+evaluated through jets of a polynomial stand-in drawn from the seed."""
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import expr as ex
 from ._poly import p_one
-from .expr import Expr, ProbeConfig, _d_nf, simplify, to_string
+from .expr import Expr, ProbeConfig, _Record, _d_nf, _set, simplify, to_string
 
 __all__ = [
     "ProbeConfig", "OracleError", "InconclusiveError", "FdResult",
-    "finite_difference_check", "ReconEntry", "reconcile_with_paper",
+    "finite_difference_check", "reconcile_with_paper",
     "FD_STEP", "FD_REL_TOL",
 ]
 
@@ -37,11 +36,13 @@ class InconclusiveError(OracleError):
     """Every probe hit a singular denominator; no verdict is possible."""
 
 
-@dataclass(frozen=True)
-class FdResult:
-    passed: bool
-    worst_rel_error: float
-    probes_used: int
+class FdResult(_Record):
+    __slots__ = _fields = ("passed", "worst_rel_error", "probes_used")
+
+    def __init__(self, passed: bool, worst_rel_error: float, probes_used: int):
+        _set(self, "passed", passed)
+        _set(self, "worst_rel_error", worst_rel_error)
+        _set(self, "probes_used", probes_used)
 
 
 def _standin_jet(cfg: ProbeConfig):
@@ -116,21 +117,6 @@ def finite_difference_check(e: Expr, v: str, cfg: ProbeConfig = ProbeConfig()) -
 # ---------------------------------------------------------------------------
 # reconciliation against transcribed reference tables
 
-@dataclass(frozen=True)
-class ReconEntry:
-    """One reconciled entry. difference is computed - expected in printed
-    form, given for a mismatch or an inconclusive entry; an annotated
-    mismatch is a documented one, and note says why."""
-
-    name: str
-    status: str  # "match" | "mismatch" | "inconclusive"
-    annotated: bool = False
-    note: Optional[str] = None
-    difference: Optional[str] = None
-    witness: Optional[dict] = None
-    value: Optional[float] = None
-
-
 def reconcile_with_paper(
     computed: Mapping,
     expected: Mapping,
@@ -144,6 +130,9 @@ def reconcile_with_paper(
     point. An entry whose canonical forms are equal is a match, and its
     difference is never built.
     """
+    # only the readers of the paper's tables load the entry's dataclass
+    from ._recon import ReconEntry
+
     if set(computed) != set(expected):
         missing = sorted(set(expected) - set(computed))
         extra = sorted(set(computed) - set(expected))

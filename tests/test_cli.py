@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -215,6 +216,39 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "christoffel", "nope.metric")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "christoffel", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: cannot read {tmp_path}\n")
+
+
+def test_file_that_is_not_utf8_is_usage_error(files, tmp_path, capsys):
+    p = tmp_path / "latin1.metric"
+    p.write_bytes("chart t r\ng 1 1 = 1\ng 2 2 = t^2  # r\xe9el\n".encode("latin-1"))
+    for argv in (["verify", str(p)], ["harmonic", files["flat"], str(p)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: cannot read {p}\n"), argv
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_file_with_other_line_ends_reads_as_its_copy_with_newlines(
+        files, tmp_path, capsys, newline):
+    # the lines are those of the \n copy, and the digest is that of the
+    # file's own bytes
+    p = tmp_path / "crlf.metric"
+    p.write_bytes(GKS_FILE.replace("\n", newline).encode())
+    reports = []
+    for path in (files["gks"], str(p)):
+        code, out, _ = run(capsys, "christoffel", path, "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[1]["results"] == reports[0]["results"]
+    assert reports[1]["inputs"] == [
+        {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}]
+    p.write_bytes(newline.join(["chart t r", "g 1 1 = 1 +", ""]).encode())
+    code, _, err = run(capsys, "christoffel", str(p))
+    assert code == 2 and "line 2" in err
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from liftgeo.expr import Coord, FuncSymbol, KnownFunc, ZERO, eprod, equivalent, esum
+from liftgeo import gks
+from liftgeo.connection import Connection
+from liftgeo.expr import ONE, Coord, FuncSymbol, KnownFunc, ZERO, eprod, equivalent, esum
 from liftgeo.geometry import validate
 from liftgeo.gks import (
     GksSpec, SCENARIO_NAMES, abstract_spec, build_gks, condition_18,
@@ -197,6 +199,38 @@ def test_complete_table_scenario_has_single_annotated_mismatch():
     assert entry.annotated
     assert entry.name == "Gamma^2bar_1,2"
     assert entry.difference == "-2*u1*X'(t)^2/X(t)^2"
+
+
+@pytest.mark.parametrize("change", ["alter", "add", "drop"])
+def test_general_pattern_names_the_one_slot_the_closed_form_gets_wrong(monkeypatch, change):
+    # the closed form of the complete lift's connection with one slot
+    # changed: a stored slot given another value, a zero slot given a value,
+    # a stored slot left out
+    lift_connection = gks.lift_connection
+    changed = []
+
+    def closed_form(g, kind, *, cfg):
+        conn = lift_connection(g, kind, cfg=cfg)
+        coeffs = dict(conn.coefficients)
+        if change == "alter":
+            key = sorted(coeffs)[len(coeffs) // 2]
+            coeffs[key] = coeffs[key] + ONE
+        elif change == "add":
+            key = (0, 0, 0)
+            assert key not in coeffs
+            coeffs[key] = ONE
+        else:
+            key = (5, 0, 1)
+            del coeffs[key]
+        changed.append(conn.display_key(*key))
+        return Connection(conn.chart, coeffs, conn.frame)
+
+    monkeypatch.setattr(gks, "lift_connection", closed_form)
+    (result,) = run_scenario("complete-table")
+    (entry,) = [e for e in result.entries if e.name == "general-pattern"]
+    assert entry.status == "mismatch"
+    assert entry.note == f"pattern fails at {changed}"
+    assert len(changed) == 1 and not result.passed
 
 
 def test_scenarios_of_one_call_share_their_metrics(monkeypatch):

@@ -14,6 +14,7 @@ from liftgeo.expr import (
 )
 from liftgeo.geometry import Chart, GeometryError, Metric, inverse
 from liftgeo.harmonicity import HarmonicityReport, Verdict, harmonicity_residuals
+from liftgeo.oracle import FdResult
 
 t = Coord("t")
 X = FuncSymbol("X", "t")
@@ -34,7 +35,7 @@ def _samples():
         ProbeConfig(seed=3), CHART, CHART.tangent(), g, conn, riemann(conn),
         Verdict("undecided", undecided_indices=("1",)), report, gks.abstract_spec(),
         gks.TheoremCheck("pair", report, (ZERO, ZERO), True, {"trace-condition": True}),
-        gks.ScenarioResult("traces", (), ("a note",)),
+        gks.ScenarioResult("traces", (), ("a note",)), FdResult(True, 2.5e-10, 20),
     ]
 
 
@@ -46,7 +47,7 @@ def _as_dataclass(record):
 
 def test_the_samples_cover_every_record():
     assert {type(r) for r in _samples()} == set(_Record.__subclasses__())
-    assert len(_Record.__subclasses__()) == 16
+    assert len(_Record.__subclasses__()) == 17
 
 
 def test_repr_and_hash_are_those_of_the_frozen_dataclass():
