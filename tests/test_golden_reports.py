@@ -33,10 +33,13 @@ def _requests():
     yield "lift-complete-ks", ["lift", path, "--kind", "complete", "--connection"]
     for kind in ("sasaki", "horizontal"):
         yield f"lift-{kind}-ks", ["lift", path, "--kind", kind, "--connection"]
-    # complete lifts of values over multi-term denominators
-    yield "lift-complete-offdiag", [
-        "lift", "metrics/offdiag.metric", "--kind", "complete", "--connection",
-    ]
+    # a dense metric: lifts and curvature of values over multi-term
+    # denominators
+    path = "metrics/offdiag.metric"
+    yield "curvature-offdiag", ["curvature", path, "--fiber-contract"]
+    for kind in ("sasaki", "horizontal", "complete"):
+        yield f"lift-{kind}-offdiag", ["lift", path, "--kind", kind, "--connection"]
+    path = "metrics/ks.metric"
     yield "harmonic-complete-ks-ks", ["harmonic", path, path, "--lift", "complete"]
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
