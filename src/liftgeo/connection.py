@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._poly import p_one
-from .expr import Coord, Expr, ProbeConfig, ZERO, _Record, _set, derivation, esum, simplify
-from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart, inverse
+from .expr import Expr, ProbeConfig, ZERO, _Record, _set, derivation, esum, simplify
+from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
 
 __all__ = [
     "Connection", "Riemann", "christoffel", "riemann", "fiber_contract",
@@ -112,20 +112,22 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
 
 
 class Riemann(_Record):
-    """Curvature components R^h_ijk, stored for i < j (antisymmetric pair)."""
+    """Curvature components R^h_ijk, keyed (h, i, j, k) with i < j: the pair
+    (i, j) is antisymmetric, so R^h_jik = -R^h_ijk is read, not stored. Any
+    other key is a GeometryError; a zero value is dropped."""
 
     __slots__ = _fields = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Mapping):
         comps = {}
-        for (h, i, j, k), e in components.items():
+        for key, e in components.items():
+            if not key[1] < key[2]:
+                raise GeometryError(
+                    f"component {key} is not stored: R^h_ijk is keyed (h, i, j, k) with i < j"
+                )
             e = simplify(e)
-            if e == ZERO:
-                continue
-            if i < j:
-                comps[(h, i, j, k)] = e
-            elif i > j:
-                comps[(h, j, i, k)] = simplify(-e)
+            if e != ZERO:
+                comps[key] = e
         _set(self, "chart", chart)
         _set(self, "components", comps)
 
@@ -197,11 +199,10 @@ def _riemann(c: Connection) -> Riemann:
 
 def fiber_contract(r: Riemann) -> dict:
     """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
-    tangent chart; a base chart or a constant that already names one is a
-    GeometryError. It sums the stored R^h_ijk only, and a sum of nonzero
+    tangent chart; a coordinate, constant or function that already names one
+    is a GeometryError, as Chart.tangent judges it. It sums the stored R^h_ijk only, and a sum of nonzero
     base values times distinct fiber coordinates is nonzero."""
-    tchart = _tangent_chart(r.chart, r.components.values())
-    fibers = [Coord(u) for u in tchart.coords[r.chart.dim:]]
+    fibers = r.chart.tangent(r.components.values()).fibers
     rows: dict = {}
     for (h, i, j, k), e in r.items():
         rows.setdefault((h, i, j), []).append((fibers[k], e))

@@ -8,7 +8,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import (
-    Expr, FuncSymbol, ProbeConfig, SymbolTable, ZERO, _Record, _set, esum, eprod, parse,
+    Coord, Expr, FuncSymbol, ProbeConfig, SymbolTable, ZERO, _Record, _set, esum, eprod, parse,
     simplify,
 )
 
@@ -53,11 +53,30 @@ class Chart(_Record):
     def is_tangent(self) -> bool:
         return self.base is not None
 
-    def tangent(self) -> "Chart":
+    def tangent(self, values=()) -> "Chart":
+        """The tangent chart (x^l, u^l), for lifting or fiber-contracting
+        values. A coordinate here, or a constant or function of the values,
+        named like a fiber coordinate u1..um is a GeometryError: the two would
+        print, parse and be probed as one symbol."""
         if self.is_tangent:
             raise GeometryError("iterated tangent charts are not supported")
         fibers = tuple(f"u{i + 1}" for i in range(self.dim))
+        names = {a.func.name if isinstance(a, ex.FuncApp) else a.name
+                 for v in values for a in ex._atoms(v) if isinstance(a, (ex.Const, ex.FuncApp))}
+        clash = sorted(names.union(self.coords).intersection(fibers))
+        if clash:
+            raise GeometryError(
+                f"coordinate, constant or function name(s) {clash} are reserved "
+                "for the fiber coordinates of the tangent chart"
+            )
         return Chart(self.coords + fibers, base=self)
+
+    @property
+    def fibers(self) -> tuple:
+        """The fiber coordinates u^1..u^m of a tangent chart as values; a base
+        chart has none."""
+        names = self.coords[self.base.dim:] if self.is_tangent else ()
+        return tuple(simplify(Coord(u)) for u in names)
 
     def index_name(self, i: int) -> str:
         """1-based display name; fiber slots are rendered with a bar."""
@@ -65,26 +84,6 @@ class Chart(_Record):
             m = self.base.dim
             return str(i + 1) if i < m else f"{i - m + 1}bar"
         return str(i + 1)
-
-
-def _tangent_chart(chart: Chart, values) -> Chart:
-    """chart.tangent(), for lifting or fiber-contracting values on chart.
-
-    A constant or function of the values named like a fiber coordinate is a
-    GeometryError: the two would print and be probed as one symbol, and a
-    report that mixes them could not be parsed again.
-    """
-    tchart = chart.tangent()
-    fibers = set(tchart.coords[chart.dim:])
-    clash = sorted({a.func.name if isinstance(a, ex.FuncApp) else a.name
-                    for v in values for a in ex._atoms(v)
-                    if isinstance(a, (ex.Const, ex.FuncApp))} & fibers)
-    if clash:
-        raise GeometryError(
-            f"constant or function name(s) {clash} are reserved for the fiber "
-            "coordinates of the tangent chart"
-        )
-    return tchart
 
 
 class Metric(_Record):

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import Expr, ProbeConfig, ZERO, _Record, _set, esum
-from .geometry import Frame, GeometryError, Metric, _tangent_chart, inverse
+from .geometry import Frame, GeometryError, Metric, inverse
 from .connection import Connection, christoffel
 from .lifts import LiftKind
 
@@ -151,10 +151,10 @@ def lifted_harmonicity(
 ) -> HarmonicityReport:
     """Harmonicity of the lifted pair on the tangent bundle.
 
-    Both metrics must lift (one chart, no constant named like a fiber
-    coordinate); the report is lifted_report of the base pair's report.
+    Both metrics must lift (one chart, no name Chart.tangent reserves);
+    the report is lifted_report of the base pair's report.
     """
     kind = LiftKind(kind)
     for metric in (g, d):
-        _tangent_chart(metric.chart, (v for _, v in metric.items()))
+        metric.chart.tangent(v for _, v in metric.items())
     return lifted_report(harmonicity_residuals(g, d, cfg=cfg), kind)

@@ -9,11 +9,11 @@ copy. Sasaki and horizontal live in the frame adapted to the base
 connection, which is anholonomic, so the coordinate Christoffel formula
 does not apply to them. The Sasaki connection adds one fiber contraction
 1/2 R^k_hij u^h per (k, i, j), shared by the slots (ibar, j) and (j, ibar),
-and Gamma^kbar_ij = -1/2 R^k_ij0 from fiber_contract. The complete lift
-lives in induced coordinates. The complete lift of a base value v is
-v^C = u^l d_l v, the derivation along the fiber field {x^l: u^l}, reduced
-once; one derivation serves every value of a lift build, so each atom is
-derived once. It gives the base block of g^C and, since the connection of
+and Gamma^kbar_ij = -1/2 R^k_ij0, both in one walk over the curvature.
+The complete lift lives in induced coordinates. The complete lift of a
+base value v is v^C = u^l d_l v, the derivation along the fiber field
+{x^l: u^l}, reduced once; one derivation serves every value of a lift
+build, so each atom is derived once. It gives the base block of g^C and, since the connection of
 g^C is the complete lift of the base connection (Yano-Kobayashi),
 Gamma^kbar_ij = (Gamma^k_ij)^C. Each lift connection is kept on its metric.
 Harmonicity reads none of these: lifted_harmonicity maps the base traces,
@@ -25,9 +25,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .expr import Coord, ProbeConfig, derivation, esum, _frac_of
-from .geometry import Chart, Frame, GeometryError, Metric, _derive, _tangent_chart
-from .connection import Connection, Riemann, christoffel, fiber_contract, riemann
+from .expr import ProbeConfig, derivation, esum
+from .geometry import Chart, Frame, GeometryError, Metric, _derive
+from .connection import Connection, Riemann, christoffel, riemann
 
 __all__ = ["LiftKind", "lift_metric", "lift_connection"]
 
@@ -54,25 +54,19 @@ def lift_metric(g: Metric, kind: LiftKind) -> Metric:
 
 def _lift_metric(g: Metric, kind: LiftKind) -> Metric:
     m = g.dim
-    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
-    complete_lift = derivation(_fiber_field(tchart))
+    tchart = g.chart.tangent(v for _, v in g.items())
     entries: dict = {}
     for (i, j), v in g.items():
         if kind is LiftKind.SASAKI:
             entries[(i, j)] = entries[(i + m, j + m)] = v
         else:
             entries[(i, j + m)] = entries[(j, i + m)] = v
-        if kind is LiftKind.COMPLETE:
-            entries[(i, j)] = complete_lift(v)
-    frame = Frame.NATURAL if kind is LiftKind.COMPLETE else Frame.ADAPTED
-    return Metric(tchart, entries, frame)
-
-
-def _fiber_field(tchart: Chart) -> dict:
-    """{x^l: u^l}, the field u^l d_l of the complete lift, as derivation reads
-    it: each component is the polynomial u^l, the p_atom of the coordinate."""
-    m = tchart.base.dim
-    return {x: _frac_of(Coord(u))[0] for x, u in zip(tchart.coords[:m], tchart.coords[m:])}
+    if kind is not LiftKind.COMPLETE:
+        return Metric(tchart, entries, Frame.ADAPTED)
+    complete_lift = derivation({x: u.num for x, u in zip(g.chart.coords, tchart.fibers)})
+    for (i, j), v in g.items():
+        entries[(i, j)] = complete_lift(v)
+    return Metric(tchart, entries, Frame.NATURAL)
 
 
 def _base_block(conn: Connection, shift: int) -> dict:
@@ -89,23 +83,24 @@ def _base_block(conn: Connection, shift: int) -> dict:
 
 def _sasaki_connection(tchart: Chart, conn: Connection, riem: Riemann) -> Connection:
     m = conn.chart.dim
-    fibers = [Coord(u) for u in tchart.coords[m:]]
+    fibers = tchart.fibers
     half = Fraction(1, 2)
     coeffs = _base_block(conn, m)
+    # one walk over the stored curvature R^k_hij (h < i) sums both families:
     # Gamma^k_{ibar j} = Gamma^k_{j ibar} = 1/2 R^k_hij u^h, one sum for both,
-    # over the stored curvature only: R^k_hij (h < i) gives the term of u^h in
-    # slot (k, i, j) and, negated, the term of u^i in slot (k, h, j); in
-    # sorted order every slot's terms come in ascending h
+    # gets the term of u^h in slot (k, i, j) and, negated, of u^i in (k, h, j);
+    # Gamma^kbar_hi = -1/2 R^k_hij u^j is stored for h < i, negated for (i, h)
     slots: dict = {}
+    barred: dict = {}
     for (k, h, i, j), r in riem.items():
         slots.setdefault((k, i, j), []).append((half, fibers[h], r))
         slots.setdefault((k, h, j), []).append((half, fibers[i], -r))
+        barred.setdefault((k, h, i), []).append((-half, fibers[j], r))
     for (k, i, j), terms in slots.items():
         coeffs[(k, i + m, j)] = coeffs[(k, j, i + m)] = esum(terms)
-    # Gamma^kbar_ij = -1/2 R^k_ij0, antisymmetric in (i, j); stored for i < j
-    for (k, i, j), r0 in fiber_contract(riem).items():
-        coeffs[(k + m, i, j)] = r0 * -half
-        coeffs[(k + m, j, i)] = r0 * half
+    for (k, h, i), terms in barred.items():
+        gam = esum(terms)
+        coeffs[(k + m, h, i)], coeffs[(k + m, i, h)] = gam, -gam
     return Connection(tchart, coeffs, Frame.ADAPTED)
 
 
@@ -126,11 +121,11 @@ def lift_connection(
 
 def _lift_connection(g: Metric, conn: Connection, kind: LiftKind) -> Connection:
     # a fiber-name clash raises here, and a failed build is not kept
-    tchart = _tangent_chart(g.chart, (v for _, v in g.items()))
+    tchart = g.chart.tangent(v for _, v in g.items())
     if kind is LiftKind.COMPLETE:
         # the complete lift of conn; Gamma^kbar_{ibar j} is stored as Gamma^kbar_{j ibar}
         m = conn.chart.dim
-        complete_lift = derivation(_fiber_field(tchart))
+        complete_lift = derivation({x: u.num for x, u in zip(g.chart.coords, tchart.fibers)})
         coeffs = _base_block(conn, m)
         for (k, i, j), gam in conn.items():
             coeffs[(k + m, i, j)] = complete_lift(gam)

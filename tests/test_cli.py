@@ -117,6 +117,24 @@ def test_paper_check_scenario_exit_zero(capsys):
     assert "[PASS] complete-table" in out
 
 
+@pytest.mark.parametrize("kind, code, lines", [
+    ("harmonic", 1, ["[FAIL] example1",
+                     "MISMATCH  verdict (expected not_harmonic, got harmonic)"]),
+    ("undecided", 3, ["[INCONCLUSIVE] example1", "INCONCLUSIVE  verdict"]),
+], ids=["mismatch", "inconclusive"])
+def test_paper_check_exits_1_on_a_mismatch_and_3_when_inconclusive(
+        monkeypatch, capsys, kind, code, lines):
+    # the example pair judged harmonic (a mismatch) or undecided
+    from liftgeo import gks
+    from liftgeo.harmonicity import HarmonicityReport, Verdict
+    monkeypatch.setattr(gks, "harmonicity_residuals",
+                        lambda g, d, *, cfg: HarmonicityReport({}, Verdict(kind)))
+    got, out, err = run(capsys, "paper-check", "--scenario", "example1")
+    assert (got, err) == (code, "")
+    assert [line.strip() for line in out.splitlines()][1:5] == [
+        lines[0], "ok  condition-1", "ok  condition-2", lines[1]]
+
+
 def test_verify(files, capsys):
     code, out, _ = run(capsys, "verify", files["g1"])
     assert code == 0
@@ -257,6 +275,13 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "christoffel", str(p))
     assert code == 2
     assert "line 2" in err
+
+
+def test_duplicate_chart_line_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "bad.metric"
+    p.write_text("chart t r\ng 1 1 = 1\nchart t r\n")
+    code, out, err = run(capsys, "christoffel", str(p))
+    assert (code, out, err) == (2, "", "error: line 3: duplicate chart line\n")
 
 
 def test_unknown_flag_is_usage_error(files, capsys):
@@ -644,7 +669,8 @@ def test_fiber_name_in_base_chart_fails_curvature(tmp_path, capsys):
     code, out, err = run(capsys, "curvature", str(p), "--fiber-contract")
     assert code == 1
     assert out == ""
-    assert "repeats" in err and "Traceback" not in err
+    assert "coordinate, constant or function name(s) ['u2'] are reserved" in err
+    assert "Traceback" not in err
 
 
 def test_constant_named_like_a_fiber_coordinate_fails_lifts(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Christoffel coefficients, curvature, fiber contraction, compatibility."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from liftgeo import _poly
 from liftgeo.expr import ONE, Normal, ZERO, equivalent, esum, simplify
 from liftgeo.connection import (
-    christoffel, fiber_contract, metric_compatibility_residual, riemann,
+    Riemann, christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
 from liftgeo.geometry import Chart, GeometryError, Metric
 
@@ -90,6 +91,18 @@ def test_riemann_antisymmetry(gks_riemann):
                     lhs = gks_riemann.get(h, i, j, k)
                     rhs = simplify(-gks_riemann.get(h, j, i, k))
                     assert lhs == rhs
+
+
+@pytest.mark.parametrize("key", [(0, 1, 1, 0), (0, 1, 0, 0)])
+def test_riemann_accepts_only_its_antisymmetric_pair_in_order(key):
+    # an i = j key would be dropped and an i > j key could overwrite its
+    # i < j partner; both are refused by name, whatever the value
+    chart = Chart(("t", "x"))
+    for value in (ref("t"), ZERO):
+        with pytest.raises(GeometryError, match=re.escape(f"component {key} is not stored")):
+            Riemann(chart, {(0, 0, 1, 0): ref("t"), key: value})
+    assert Riemann(chart, {(0, 0, 1, 0): ref("t"), (1, 0, 1, 1): ZERO}).components == {
+        (0, 0, 1, 0): ref("t")}
 
 
 def test_first_bianchi(gks_riemann, sphere_metric):

@@ -244,6 +244,12 @@ def test_eval_denominator_epsilon():
         eval_numeric(e, {"theta": 0.0})
 
 
+def test_eval_sqrt_of_a_negative_value_is_a_singular_point():
+    assert eval_numeric(parse("sqrt(t)", syms()), {"t": 0.0}) == 0.0
+    with pytest.raises(SingularPointError, match="^sqrt of a negative value$"):
+        eval_numeric(parse("sqrt(t)", syms()), {"t": -0.25})
+
+
 @pytest.mark.parametrize("text", ["exp(1000*t)", "t^99999", "10^400"])
 def test_eval_overflow_is_a_singular_point(text):
     with pytest.raises(SingularPointError, match="overflows"):

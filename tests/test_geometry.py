@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from liftgeo.expr import ONE, ZERO, ProbeConfig, equivalent, simplify, to_string
+from liftgeo.expr import (
+    ONE, ZERO, Const, Coord, FuncSymbol, ProbeConfig, eprod, equivalent, simplify, to_string,
+)
 from liftgeo.geometry import (
     Chart, DegenerateMetricError, Frame, GeometryError, Metric,
     MetricFileError, determinant, inverse, parse_metric_document, validate,
@@ -30,10 +32,24 @@ def test_chart_rejects_repeated_coordinates():
         Chart(("t", "t"))
 
 
-def test_tangent_chart_rejects_fiber_name_clash():
-    # the fiber coordinates of a two-dimensional chart are u1, u2
-    with pytest.raises(GeometryError, match="u1"):
-        Chart(("t", "u1")).tangent()
+@pytest.mark.parametrize("chart, values", [
+    (Chart(("t", "u1")), ()),
+    (Chart(("t", "x")), [eprod((Const("u1"), Coord("t")))]),
+    (Chart(("t", "x")), [FuncSymbol("u1", "t").app(), Coord("x")]),
+], ids=["coordinate", "constant", "function"])
+def test_tangent_chart_rejects_fiber_name_clash(chart, values):
+    # the fiber coordinates of a two-dimensional chart are u1, u2; a
+    # coordinate, a constant or a function named like one gets one message
+    with pytest.raises(GeometryError) as err:
+        chart.tangent(values)
+    assert str(err.value) == ("coordinate, constant or function name(s) ['u1'] are "
+                              "reserved for the fiber coordinates of the tangent chart")
+
+
+def test_tangent_chart_supplies_its_fiber_coordinates():
+    chart = Chart(("t", "x"))
+    assert chart.tangent([Coord("t")]).fibers == (simplify(Coord("u1")), simplify(Coord("u2")))
+    assert chart.fibers == ()
 
 
 def test_metric_shape_checked():
@@ -357,6 +373,22 @@ def test_metric_file_errors():
         parse_metric_document("chart t\nmetric 1\n")
     with pytest.raises(MetricFileError, match="undeclared coordinate"):
         parse_metric_document("chart t\nfunc f(theta) abstract\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("chart t r\nchart t r\n", 2, "duplicate chart line"),
+    ("# no coordinates\nchart\n", 2, "chart needs at least one coordinate"),
+    ("chart t\nfunc X abstract\n", 2, "expected: func NAME(coordinate) ..."),
+    ("chart t\nfunc X(t(t)) abstract\n", 2, "expected: func NAME(coordinate) ..."),
+    ("chart t\ng 1 1 = 1\nfunc X(t) concrete\n", 3,
+     "expected 'abstract' or '= EXPR' after func declaration"),
+    ("chart t\ng 1 1 1\n", 2, "expected: g I J = EXPR"),
+])
+def test_metric_file_line_errors(text, line, message):
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_document(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_metric_file_const_declaration():

@@ -107,9 +107,9 @@ def test_lift_connection_reads_the_tangent_chart_once_per_build(monkeypatch):
     # a kept lift connection walks no metric value again
     g = Metric(Chart(("t", "x")), {(0, 0): ref("1"), (1, 1): ref("t^2")})
     charts = []
-    tangent_chart = lifts._tangent_chart
-    monkeypatch.setattr(lifts, "_tangent_chart",
-                        lambda chart, values: charts.append(chart) or tangent_chart(chart, values))
+    tangent = Chart.tangent
+    monkeypatch.setattr(Chart, "tangent",
+                        lambda chart, values=(): charts.append(chart) or tangent(chart, values))
     for _ in range(3):
         for kind in LiftKind:
             lift_connection(g, kind)
@@ -299,11 +299,13 @@ def test_sasaki_connection_sums_each_curvature_slot_once(monkeypatch):
     results = []
     monkeypatch.setattr(lifts, "esum", lambda terms: results.append(esum(terms)) or results[-1])
     sconn = lift_connection(build_gks(abstract_spec()), LiftKind.SASAKI)
-    # one sum per (k, i, j) with a stored curvature term, none of them zero;
-    # the barred-upper slots come from fiber_contract
-    assert len(results) == 24
+    # one sum per (k, i, j) with a stored curvature term, none of them zero:
+    # 24 for the slots (k, ibar, j), shared with (k, j, ibar), and 12 for the
+    # barred-upper slots (kbar, i, j), i < j, negated for (kbar, j, i)
+    assert len(results) == 36
     assert ZERO not in results
     for k in range(4):
         for i in range(4):
             for j in range(4):
                 assert sconn.get(k, i + 4, j) is sconn.get(k, j, i + 4)
+                assert sconn.get(k + 4, i, j) == -sconn.get(k + 4, j, i)
