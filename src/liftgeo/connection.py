@@ -112,18 +112,21 @@ def _christoffel(g: Metric, ginv: Metric) -> Connection:
 
 
 class Riemann(_Record):
-    """Curvature components R^h_ijk, keyed (h, i, j, k) with i < j: the pair
-    (i, j) is antisymmetric, so R^h_jik = -R^h_ijk is read, not stored. Any
-    other key is a GeometryError; a zero value is dropped."""
+    """Curvature components R^h_ijk, keyed (h, i, j, k) with i < j, each an
+    index of the chart; R^h_jik = -R^h_ijk is read, not stored. Any other
+    key is a GeometryError; a zero value is dropped."""
 
     __slots__ = _fields = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Mapping):
+        n = chart.dim
         comps = {}
         for key, e in components.items():
-            if not key[1] < key[2]:
+            h, i, j, k = key
+            if not (0 <= i < j < n and 0 <= h < n and 0 <= k < n):
                 raise GeometryError(
-                    f"component {key} is not stored: R^h_ijk is keyed (h, i, j, k) with i < j"
+                    f"component {key} is not stored: R^h_ijk is keyed (h, i, j, k) "
+                    f"with i < j, each an index of chart {chart.coords}"
                 )
             e = simplify(e)
             if e != ZERO:
@@ -199,8 +202,8 @@ def _riemann(c: Connection) -> Riemann:
 
 def fiber_contract(r: Riemann) -> dict:
     """R^h_ij0 = R^h_ijk u^k, linear in the fiber coordinates of the
-    tangent chart; a coordinate, constant or function that already names one
-    is a GeometryError, as Chart.tangent judges it. It sums the stored R^h_ijk only, and a sum of nonzero
+    tangent chart; a coordinate, constant or function named like one is a
+    GeometryError. It sums the stored R^h_ijk only, and a sum of nonzero
     base values times distinct fiber coordinates is nonzero."""
     fibers = r.chart.tangent(r.components.values()).fibers
     rows: dict = {}

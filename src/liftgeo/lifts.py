@@ -9,11 +9,11 @@ copy. Sasaki and horizontal live in the frame adapted to the base
 connection, which is anholonomic, so the coordinate Christoffel formula
 does not apply to them. The Sasaki connection adds one fiber contraction
 1/2 R^k_hij u^h per (k, i, j), shared by the slots (ibar, j) and (j, ibar),
-and Gamma^kbar_ij = -1/2 R^k_ij0, both in one walk over the curvature.
-The complete lift lives in induced coordinates. The complete lift of a
-base value v is v^C = u^l d_l v, the derivation along the fiber field
-{x^l: u^l}, reduced once; one derivation serves every value of a lift
-build, so each atom is derived once. It gives the base block of g^C and, since the connection of
+and Gamma^kbar_ij = -1/2 R^k_ij0, in one curvature walk. The complete lift
+lives in induced coordinates. The complete lift of a base value v is
+v^C = u^l d_l v, the derivation along the fiber field {x^l: u^l}, reduced
+once; one derivation serves every value of a lift build, so each atom is
+derived once. It gives the base block of g^C and, since the connection of
 g^C is the complete lift of the base connection (Yano-Kobayashi),
 Gamma^kbar_ij = (Gamma^k_ij)^C. Each lift connection is kept on its metric.
 Harmonicity reads none of these: lifted_harmonicity maps the base traces,

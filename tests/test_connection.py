@@ -93,10 +93,12 @@ def test_riemann_antisymmetry(gks_riemann):
                     assert lhs == rhs
 
 
-@pytest.mark.parametrize("key", [(0, 1, 1, 0), (0, 1, 0, 0)])
+@pytest.mark.parametrize("key", [(0, 1, 1, 0), (0, 1, 0, 0), (0, 0, 2, 0), (2, 0, 1, 0),
+                                 (0, 0, 1, -1)])
 def test_riemann_accepts_only_its_antisymmetric_pair_in_order(key):
-    # an i = j key would be dropped and an i > j key could overwrite its
-    # i < j partner; both are refused by name, whatever the value
+    # an i = j key would be dropped, an i > j key could overwrite its i < j
+    # partner and an index outside the chart would be kept; all are refused
+    # by name, whatever the value
     chart = Chart(("t", "x"))
     for value in (ref("t"), ZERO):
         with pytest.raises(GeometryError, match=re.escape(f"component {key} is not stored")):

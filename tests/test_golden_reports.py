@@ -33,13 +33,13 @@ def _requests():
     yield "lift-complete-ks", ["lift", path, "--kind", "complete", "--connection"]
     for kind in ("sasaki", "horizontal"):
         yield f"lift-{kind}-ks", ["lift", path, "--kind", kind, "--connection"]
-    # a dense metric: lifts and curvature of values over multi-term
+    # a dense metric: curvature and lifts of values over multi-term
     # denominators
-    path = "metrics/offdiag.metric"
-    yield "curvature-offdiag", ["curvature", path, "--fiber-contract"]
+    yield "curvature-offdiag", ["curvature", "metrics/offdiag.metric", "--fiber-contract"]
     for kind in ("sasaki", "horizontal", "complete"):
-        yield f"lift-{kind}-offdiag", ["lift", path, "--kind", kind, "--connection"]
-    path = "metrics/ks.metric"
+        yield f"lift-{kind}-offdiag", [
+            "lift", "metrics/offdiag.metric", "--kind", kind, "--connection",
+        ]
     yield "harmonic-complete-ks-ks", ["harmonic", path, path, "--lift", "complete"]
     yield "harmonic-complete-gks-gks", [
         "harmonic", "metrics/gks.metric", "metrics/gks.metric", "--lift", "complete",
