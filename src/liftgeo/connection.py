@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._poly import p_one
-from .expr import Expr, ProbeConfig, ZERO, _Record, _set, derivation, esum, simplify
-from .geometry import Chart, Frame, GeometryError, Metric, _derive, inverse
+from .expr import Expr, ProbeConfig, ZERO, _Record, _set, derivation, esum
+from .geometry import Chart, Frame, GeometryError, Metric, _derive, _place, _unordered_pair, inverse
 
 __all__ = [
     "Connection", "Riemann", "christoffel", "riemann", "fiber_contract",
@@ -29,15 +29,10 @@ class Connection(_Record):
     __slots__ = _fields + ("_derived",)
 
     def __init__(self, chart: Chart, coefficients: Mapping, frame: Frame = Frame.NATURAL):
-        coeffs = {}
-        for (k, i, j), e in coefficients.items():
-            if frame is Frame.NATURAL and i > j:
-                i, j = j, i
-            e = simplify(e)
-            if e != ZERO:
-                coeffs[(k, i, j)] = e
+        stored = _unordered_pair if frame is Frame.NATURAL else (lambda key: key)
         _set(self, "chart", chart)
-        _set(self, "coefficients", coeffs)
+        _set(self, "coefficients",
+             _place("Connection", chart, coefficients, stored, "(k, i, j)", 3))
         _set(self, "frame", frame)
         _set(self, "_derived", {})
 
@@ -119,20 +114,10 @@ class Riemann(_Record):
     __slots__ = _fields = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Mapping):
-        n = chart.dim
-        comps = {}
-        for key, e in components.items():
-            h, i, j, k = key
-            if not (0 <= i < j < n and 0 <= h < n and 0 <= k < n):
-                raise GeometryError(
-                    f"component {key} is not stored: R^h_ijk is keyed (h, i, j, k) "
-                    f"with i < j, each an index of chart {chart.coords}"
-                )
-            e = simplify(e)
-            if e != ZERO:
-                comps[key] = e
         _set(self, "chart", chart)
-        _set(self, "components", comps)
+        _set(self, "components", _place("Riemann", chart, components,
+                                        lambda key: key if key[1] < key[2] else None,
+                                        "(h, i, j, k) with i < j", 4))
 
     def get(self, h: int, i: int, j: int, k: int) -> Expr:
         if i == j:

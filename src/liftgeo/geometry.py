@@ -86,12 +86,34 @@ class Chart(_Record):
         return str(i + 1)
 
 
+def _place(record: str, chart: Chart, entries: Mapping, stored, layout: str, rank: int) -> dict:
+    """The components of a Metric, Connection or Riemann: each key is rank
+    indices of the chart and maps by stored to the key kept (None refuses it;
+    layout names the keys taken), keys kept as one agree, zeros go last."""
+    indices = set(range(chart.dim))
+    placed: dict = {}
+    for key, e in entries.items():
+        if (to := stored(key) if len(key) == rank and indices.issuperset(key) else None) is None:
+            raise GeometryError(f"{record} refuses key {key} on chart {chart.coords}: "
+                                f"keys are {layout}, each an index of the chart")
+        e = simplify(e)
+        if (found := placed.setdefault(to, e)) is not e and found != e:
+            other = next(k for k in entries if stored(k) == to)
+            raise GeometryError(f"{record} refuses keys {other} and {key} on chart "
+                                f"{chart.coords}: they are kept as one, with different values")
+    return {to: e for to, e in placed.items() if e.num}  # a zero has no terms
+
+
+def _unordered_pair(key: tuple) -> tuple:
+    """key with its last two indices in order, for a pair read in either order."""
+    return key if key[-2] <= key[-1] else key[:-2] + (key[-1], key[-2])
+
+
 class Metric(_Record):
     """A metric on a chart, symmetric by construction: entries maps
     0-based (i, j) to a value, each entry sets both g_ij and g_ji, and an
-    unlisted entry is 0. An index outside the chart's matrix, or an (i, j)
-    and a (j, i) given different values, is a GeometryError. components is
-    the tuple of rows."""
+    unlisted entry is 0. _place refuses an index outside the chart, or an
+    (i, j) and a (j, i) given different values. components is the rows."""
 
     _fields = ("chart", "components", "frame")
     # _derived: values derived from this metric, built once each by _derive
@@ -102,15 +124,7 @@ class Metric(_Record):
             raise GeometryError("adapted frames only exist on tangent charts")
         n = chart.dim
         rows = [[ZERO] * n for _ in range(n)]
-        given: dict = {}
-        for (i, j), e in entries.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise GeometryError(
-                    f"entry ({i}, {j}) lies outside the {n}x{n} matrix of chart {chart.coords}"
-                )
-            e = simplify(e)
-            if given.setdefault((min(i, j), max(i, j)), e) != e:
-                raise GeometryError(f"entries ({j}, {i}) and ({i}, {j}) differ")
+        for (i, j), e in _place("Metric", chart, entries, _unordered_pair, "(i, j)", 2).items():
             rows[i][j] = rows[j][i] = e
         _set(self, "chart", chart)
         _set(self, "components", tuple(tuple(r) for r in rows))

@@ -8,9 +8,9 @@ import pytest
 from liftgeo import _poly
 from liftgeo.expr import ONE, Normal, ZERO, equivalent, esum, simplify
 from liftgeo.connection import (
-    Riemann, christoffel, fiber_contract, metric_compatibility_residual, riemann,
+    Connection, Riemann, christoffel, fiber_contract, metric_compatibility_residual, riemann,
 )
-from liftgeo.geometry import Chart, GeometryError, Metric
+from liftgeo.geometry import Chart, Frame, GeometryError, Metric
 
 from conftest import ref
 
@@ -101,10 +101,52 @@ def test_riemann_accepts_only_its_antisymmetric_pair_in_order(key):
     # by name, whatever the value
     chart = Chart(("t", "x"))
     for value in (ref("t"), ZERO):
-        with pytest.raises(GeometryError, match=re.escape(f"component {key} is not stored")):
+        with pytest.raises(GeometryError, match=re.escape(f"Riemann refuses key {key} on chart")):
             Riemann(chart, {(0, 0, 1, 0): ref("t"), key: value})
     assert Riemann(chart, {(0, 0, 1, 0): ref("t"), (1, 0, 1, 1): ZERO}).components == {
         (0, 0, 1, 0): ref("t")}
+
+
+PLANE = Chart(("t", "x"))
+
+
+@pytest.mark.parametrize("build, name, outside, unstored, one, apart, zero", [
+    # the record's build and name; a key with an index outside the chart; an
+    # in-chart key stored in no form; two keys stored as one; two keys stored
+    # apart though they differ only in order; a key to give the value 0
+    (lambda e: Metric(PLANE, e), "Metric", (0, 2), None, ((0, 1), (1, 0)), None, (1, 1)),
+    (lambda e: Connection(PLANE, e), "Connection", (7, 0, 0), None,
+     ((0, 0, 1), (0, 1, 0)), None, (1, 1, 1)),
+    (lambda e: Connection(PLANE.tangent(), e, Frame.ADAPTED), "Connection", (0, 4, 0), None,
+     None, ((0, 0, 3), (0, 3, 0)), (1, 1, 1)),
+    (lambda e: Riemann(PLANE, e), "Riemann", (0, 0, 1, 2), (0, 1, 0, 0), None, None,
+     (1, 0, 1, 1)),
+], ids=["metric", "natural-connection", "adapted-connection", "riemann"])
+def test_one_placement_rule_for_every_index_keyed_record(build, name, outside, unstored, one,
+                                                        apart, zero):
+    t, two_t = ref("t"), ref("2*t")
+    # a refused key (one index too few or too many among them) is refused by
+    # name, with its chart (the plane or its tangent chart), whatever its value
+    for key in (outside, zero[:-1], zero + (0,)) + ((unstored,) if unstored else ()):
+        for value in (t, ZERO):
+            with pytest.raises(GeometryError, match=re.escape(
+                    f"{name} refuses key {key} on chart ('t', 'x'")):
+                build({key: value})
+    if one:
+        a, b = one
+        # one stored component takes one value: a different second value,
+        # 0 too, is refused; an equal one, compared as a canonical value, is
+        # accepted, as the complete lift writes both orders of a natural slot
+        for value in (two_t, ZERO):
+            with pytest.raises(GeometryError, match=re.escape(f"{name} refuses keys {a} and {b}")):
+                build({a: t, b: value})
+        assert dict(build({a: t, b: t}).items()) == {a: t}
+        assert dict(build({a: ref("2*t - t"), b: t}).items()) == {a: t}
+    if apart:
+        a, b = apart
+        assert dict(build({a: t, b: two_t}).items()) == {a: t, b: two_t}
+    # a zero is dropped once its key is placed
+    assert dict(build({zero: ZERO}).items()) == {}
 
 
 def test_first_bianchi(gks_riemann, sphere_metric):

@@ -1,5 +1,6 @@
 """Charts, metrics, exact inverse/determinant, validation, metric files."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,7 +55,8 @@ def test_metric_shape_checked():
     # an entry's 0-based index must lie in the chart's matrix
     chart = Chart(("t", "r"))
     for key in ((0, 2), (2, 2), (-1, 0)):
-        with pytest.raises(GeometryError, match=r"outside the 2x2 matrix"):
+        with pytest.raises(GeometryError,
+                           match=re.escape(f"Metric refuses key {key} on chart ('t', 'r')")):
             Metric(chart, {(0, 0): ONE, key: ONE})
     with pytest.raises(GeometryError, match="adapted"):
         Metric(chart, {(0, 0): ONE, (1, 1): ONE}, Frame.ADAPTED)
@@ -290,7 +292,7 @@ def test_asymmetric_entries_are_refused_at_construction():
     # g_12 = t, g_21 = 2t: the determinant would read both triangles and
     # every other operation the upper one, so no Metric holds the pair
     chart = Chart(("t", "x"))
-    with pytest.raises(GeometryError, match=r"entries \(0, 1\) and \(1, 0\) differ"):
+    with pytest.raises(GeometryError, match=re.escape("Metric refuses keys (0, 1) and (1, 0)")):
         Metric(chart, {(0, 0): ref("1"), (0, 1): ref("t"), (1, 0): ref("2*t"), (1, 1): ref("1")})
     # equal mirrored entries are one entry, compared as canonical values
     g = Metric(chart, {(0, 0): ref("1"), (0, 1): ref("t"), (1, 0): ref("2*t - t"),
