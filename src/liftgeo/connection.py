@@ -29,6 +29,8 @@ class Connection(_Record):
     __slots__ = _fields + ("_derived",)
 
     def __init__(self, chart: Chart, coefficients: Mapping, frame: Frame = Frame.NATURAL):
+        if frame is Frame.ADAPTED and not chart.is_tangent:
+            raise GeometryError("adapted frames only exist on tangent charts")
         stored = _unordered_pair if frame is Frame.NATURAL else (lambda key: key)
         _set(self, "chart", chart)
         _set(self, "coefficients",

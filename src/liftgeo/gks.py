@@ -257,6 +257,14 @@ def _ref(text: str) -> Expr:
     return parse(text, _REF_SYMBOLS)
 
 
+# the family member of a spec, built once per process: the scenarios pass
+# only the abstract pair and example_pair(), so it holds four metrics, each
+# keeping its inverse, connection, curvature and lifts; nondegeneracy is
+# still judged per ProbeConfig on every call. build_gks stays uncached, so
+# the corpus pairs of theorem_equivalence_check are built per call
+_member = functools.cache(build_gks)
+
+
 # nonzero Levi-Civita coefficients of the abstract family (stored i <= j)
 GAMMA_REF = {
     (0, 1, 1): "X(t)*X'(t)",
@@ -402,14 +410,14 @@ def _table(label, computed: Mapping, reference: Mapping, cfg: ProbeConfig) -> li
     ))
 
 
-def scenario_gamma_matrices(cfg: ProbeConfig, metric) -> ScenarioResult:
-    conn = christoffel(metric(abstract_spec()), cfg=cfg)
+def scenario_gamma_matrices(cfg: ProbeConfig) -> ScenarioResult:
+    conn = christoffel(_member(abstract_spec()), cfg=cfg)
     entries = _table(conn.display_key, conn.coefficients, GAMMA_REF, cfg)
     return ScenarioResult("gamma-matrices", tuple(entries))
 
 
-def scenario_inverse(cfg: ProbeConfig, metric) -> ScenarioResult:
-    g = metric(abstract_spec())
+def scenario_inverse(cfg: ProbeConfig) -> ScenarioResult:
+    g = _member(abstract_spec())
     entries = _table(lambda i, j: f"ginv_{i + 1},{j + 1}",
                      dict(inverse(g, cfg=cfg).items()), INVERSE_REF, cfg)
     lifted = lift_metric(g, LiftKind.COMPLETE)
@@ -419,15 +427,15 @@ def scenario_inverse(cfg: ProbeConfig, metric) -> ScenarioResult:
     return ScenarioResult("inverse", tuple(entries))
 
 
-def scenario_traces(cfg: ProbeConfig, metric) -> ScenarioResult:
+def scenario_traces(cfg: ProbeConfig) -> ScenarioResult:
     report = harmonicity_residuals(
-        metric(abstract_spec()), metric(hatted_abstract_spec()), cfg=cfg)
+        _member(abstract_spec()), _member(hatted_abstract_spec()), cfg=cfg)
     computed = {f"rho^{k}": report.residual(k) for k in ("1", "2", "3", "4")}
     expected = {key: _ref(s) for key, s in TRACE_REF.items()}
     return ScenarioResult("traces", reconcile_with_paper(computed, expected, cfg))
 
 
-def scenario_example1(cfg: ProbeConfig, metric) -> ScenarioResult:
+def scenario_example1(cfg: ProbeConfig) -> ScenarioResult:
     g_spec, hat_spec = example_pair()
     c1, c2 = condition_18(g_spec, hat_spec)
     computed = {"condition-1": c1, "condition-2": c2}
@@ -436,7 +444,7 @@ def scenario_example1(cfg: ProbeConfig, metric) -> ScenarioResult:
         "condition-2": _ref("-sinh(theta)*cosh(theta) + theta"),
     }
     entries = list(reconcile_with_paper(computed, expected, cfg))
-    report = harmonicity_residuals(metric(g_spec), metric(hat_spec), cfg=cfg)
+    report = harmonicity_residuals(_member(g_spec), _member(hat_spec), cfg=cfg)
     if report.verdict.kind == "not_harmonic" and report.verdict.witness:
         witness = ", ".join(
             f"{k}={v:.6g}" for k, v in sorted(report.verdict.witness.items())
@@ -462,8 +470,8 @@ def scenario_example1(cfg: ProbeConfig, metric) -> ScenarioResult:
     return ScenarioResult("example1", tuple(entries), notes)
 
 
-def scenario_curvature_table(cfg: ProbeConfig, metric) -> ScenarioResult:
-    riem = riemann(christoffel(metric(abstract_spec()), cfg=cfg))
+def scenario_curvature_table(cfg: ProbeConfig) -> ScenarioResult:
+    riem = riemann(christoffel(_member(abstract_spec()), cfg=cfg))
     entries = _table(lambda h, i, j: riem.display_key(h, i, j, "0"),
                      fiber_contract(riem), CURVATURE_REF, cfg)
     notes = (
@@ -473,11 +481,11 @@ def scenario_curvature_table(cfg: ProbeConfig, metric) -> ScenarioResult:
     return ScenarioResult("curvature-table", tuple(entries), notes)
 
 
-def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig, metric) -> ScenarioResult:
+def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig) -> ScenarioResult:
     """The traces of the lifted metric and connections of the abstract pair
     against lifted_harmonicity; X, Y, f are free, so every member agrees."""
-    g = metric(abstract_spec())
-    d = metric(hatted_abstract_spec())
+    g = _member(abstract_spec())
+    d = _member(hatted_abstract_spec())
     generic = _trace(lift_metric(g, kind), lift_connection(g, kind, cfg=cfg),
                      lift_connection(d, kind, cfg=cfg), cfg)
     lifted = lifted_harmonicity(g, d, kind, cfg=cfg)
@@ -489,8 +497,8 @@ def _lift_trace_scenario(kind: LiftKind, cfg: ProbeConfig, metric) -> ScenarioRe
     return ScenarioResult(kind.value, entries, tuple(lifted.notes))
 
 
-def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
-    g = metric(abstract_spec())
+def scenario_complete_table(cfg: ProbeConfig) -> ScenarioResult:
+    g = _member(abstract_spec())
     lifted = lift_metric(g, LiftKind.COMPLETE)
     # the Christoffel formula on the lifted metric is the arbiter
     conn = christoffel(lifted, cfg=cfg)
@@ -541,11 +549,11 @@ def scenario_complete_table(cfg: ProbeConfig, metric) -> ScenarioResult:
     return ScenarioResult("complete-table", tuple(entries), notes)
 
 
-def scenario_theorem_equivalence(cfg: ProbeConfig, metric) -> ScenarioResult:
+def scenario_theorem_equivalence(cfg: ProbeConfig) -> ScenarioResult:
     """The traces of the abstract pair against condition (18): rho^1 = -c1,
     rho^3 = -c2/(Y^2 f^2) and rho^2 = rho^4 = 0, each an exact identity."""
     g_spec, hat_spec = abstract_spec(), hatted_abstract_spec()
-    report = harmonicity_residuals(metric(g_spec), metric(hat_spec), cfg=cfg)
+    report = harmonicity_residuals(_member(g_spec), _member(hat_spec), cfg=cfg)
     c1, c2 = condition_18(g_spec, hat_spec)
     Y, f = g_spec.Y.app(), g_spec.f.app()
     computed = {
@@ -566,9 +574,9 @@ def scenario_theorem_equivalence(cfg: ProbeConfig, metric) -> ScenarioResult:
                           notes)
 
 
-# name -> scenario(cfg, metric), where metric(spec) builds a family member;
-# the names are the package's SCENARIO_NAMES, which the cli reads without
-# loading this module
+# name -> scenario(cfg); every scenario reads its family members from
+# _member. The names are the package's SCENARIO_NAMES, which the cli reads
+# without loading this module
 _SCENARIOS = dict(zip(SCENARIO_NAMES, (
     scenario_gamma_matrices,
     scenario_inverse,
@@ -586,13 +594,14 @@ _SCENARIOS = dict(zip(SCENARIO_NAMES, (
 def run_scenario(name: str, cfg: ProbeConfig = ProbeConfig()) -> list:
     """Run one named scenario, or all of them; returns a list of results.
 
-    The scenarios of one call build each metric once, and so each inverse,
-    connection and curvature once: they build through a memo that
-    lives as long as the call and builds only what a scenario reads.
+    Every scenario reads its family members from one memo that lives as long
+    as the process, as the transcribed tables are parsed once per process, so
+    each metric, and so each inverse, connection and curvature, is built once
+    across calls. A report is a function of the value and cfg only, so a
+    shared member changes no report.
     """
     if name != "all" and name not in _SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)} or all"
         )
-    metric = functools.cache(build_gks)
-    return [_SCENARIOS[n](cfg, metric) for n in (SCENARIO_NAMES if name == "all" else (name,))]
+    return [_SCENARIOS[n](cfg) for n in (SCENARIO_NAMES if name == "all" else (name,))]

@@ -1,6 +1,6 @@
 import pytest
 
-from liftgeo import _poly, connection, geometry, lifts
+from liftgeo import _poly, connection, geometry, gks, lifts
 from liftgeo.expr import ONE, ZERO, FuncSymbol, ProbeConfig, SymbolTable, esum, parse
 from liftgeo.geometry import Chart, Metric
 from liftgeo.gks import abstract_spec, build_gks, example_pair, hatted_abstract_spec
@@ -99,6 +99,14 @@ def lifted_builds(monkeypatch):
     record(lifts, "_lift_metric", lambda g, kind: True)
     record(lifts, "_base_block", lambda conn, shift: True)
     return built
+
+
+@pytest.fixture(autouse=True)
+def fresh_family_members():
+    """The scenarios' family members, built anew for each test: a count of
+    builds sees no metric an earlier test built, and a value a
+    monkeypatched builder got wrong stays in the test that made it."""
+    gks._member.cache_clear()
 
 
 @pytest.fixture(scope="session")

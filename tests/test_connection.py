@@ -149,6 +149,18 @@ def test_one_placement_rule_for_every_index_keyed_record(build, name, outside, u
     assert dict(build({zero: ZERO}).items()) == {}
 
 
+@pytest.mark.parametrize("record", [
+    lambda chart, frame: Metric(chart, {(0, 0): ONE, (1, 1): ONE}, frame),
+    lambda chart, frame: Connection(chart, {(0, 0, 1): ref("t")}, frame),
+], ids=["metric", "connection"])
+def test_adapted_frames_live_on_tangent_charts_only(record):
+    # a Metric and a Connection agree on where an adapted frame may live
+    with pytest.raises(GeometryError, match="adapted frames only exist on tangent charts"):
+        record(PLANE, Frame.ADAPTED)
+    assert record(PLANE.tangent(), Frame.ADAPTED).frame is Frame.ADAPTED
+    assert record(PLANE, Frame.NATURAL).frame is Frame.NATURAL
+
+
 def test_first_bianchi(gks_riemann, sphere_metric):
     sph = riemann(christoffel(sphere_metric))
     for riem, n in ((gks_riemann, 4), (sph, 2)):

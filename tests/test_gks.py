@@ -245,6 +245,36 @@ def test_scenarios_of_one_call_share_their_metrics(monkeypatch):
     assert builds.count(True) == 1
 
 
+def test_scenarios_of_later_calls_share_their_metrics(monkeypatch):
+    # the family members outlive a call, so a later call at another seed
+    # reads the abstract metric's connection from the first call's build
+    from liftgeo import connection
+    abstract = build_gks(abstract_spec())
+    builds = []
+    christoffel = connection._christoffel
+    monkeypatch.setattr(connection, "_christoffel",
+                        lambda g, ginv: builds.append(g == abstract) or christoffel(g, ginv))
+    run_scenario("gamma-matrices")
+    run_scenario("curvature-table", ProbeConfig(seed=3))
+    assert builds.count(True) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_shared_members_change_no_report(seed):
+    # each scenario on members built for it alone, then on members an all
+    # call at seed 7 built and judged: nondegeneracy is judged per setting,
+    # so the results are equal
+    cfg = ProbeConfig(seed=seed)
+    cold = []
+    for name in SCENARIO_NAMES:
+        gks._member.cache_clear()
+        cold += run_scenario(name, cfg)
+    gks._member.cache_clear()
+    run_scenario("all", ProbeConfig(seed=7))
+    warm = [result for name in SCENARIO_NAMES for result in run_scenario(name, cfg)]
+    assert warm == cold
+
+
 @pytest.mark.parametrize("kind, status, note", [
     ("harmonic", "mismatch", "expected not_harmonic, got harmonic"),
     ("undecided", "inconclusive", None),
